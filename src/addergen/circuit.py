@@ -1,6 +1,6 @@
 """Gate-level combinational circuits as append-only DAGs.
 
-A circuit is a dense, topologically ordered sequence of nodes.  Node 0..N-1
+A circuit is a dense, topologically ordered sequence of nodes.  Nodes 0..N-1
 each carry a kind (input or one of seven gate types) and up to two fanin
 references that must point at earlier nodes.  Output markers name the nodes
 whose values leave the circuit; a marker counts as one consumer in all
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
 
 INPUT = "input"
 AND = "and"
@@ -31,12 +30,6 @@ GATE_ARITY = {AND: 2, OR: 2, XOR: 2, NAND: 2, NOR: 2, NOT: 1, BUF: 1}
 # stable small codes used by the array representation and the netlist format
 KIND_CODES = {INPUT: 0, AND: 1, OR: 2, XOR: 3, NOT: 4, BUF: 5, NAND: 6, NOR: 7}
 KIND_NAMES = {code: name for name, code in KIND_CODES.items()}
-
-
-class Node(NamedTuple):
-    id: int
-    kind: str
-    fanins: tuple
 
 
 @dataclass(frozen=True)
@@ -111,6 +104,41 @@ class CircuitBuilder:
     def fanout(self, nid: int) -> int:
         return self.uses[nid]
 
+    def inline(self, c: "Circuit", leaves) -> list:
+        """Append c's gates in id order with c.input_ids bound to leaves.
+
+        Returns remap, where remap[old id] is the id the node got here.
+        Only leaves are checked: c's fanins were checked when c was built.
+        Output markers are not copied; callers mark what they need.
+        """
+        nid = len(self._codes)
+        if len(leaves) != len(c.input_ids):
+            raise ValueError(
+                f"need {len(c.input_ids)} leaves, got {len(leaves)}")
+        remap = [-1] * len(c)
+        for old, leaf in zip(c.input_ids, leaves):
+            if not 0 <= leaf < nid:
+                raise ValueError(f"leaf {leaf} out of range")
+            remap[old] = leaf
+        codes, f0, f1, uses = self._codes, self._f0, self._f1, self.uses
+        src_f0, src_f1 = c._f0, c._f1
+        for old, code in enumerate(c._codes):
+            if code == 0:
+                continue
+            a = remap[src_f0[old]]
+            uses[a] += 1
+            b = src_f1[old]
+            if b >= 0:
+                b = remap[b]
+                uses[b] += 1
+            codes.append(code)
+            f0.append(a)
+            f1.append(b)
+            uses.append(0)
+            remap[old] = nid
+            nid += 1
+        return remap
+
     def build(self) -> "Circuit":
         return Circuit(
             self.name, self._codes, self._f0, self._f1,
@@ -155,13 +183,6 @@ class Circuit:
             return ()
         f1 = self._f1[nid]
         return (f0,) if f1 < 0 else (f0, f1)
-
-    def node(self, nid: int) -> Node:
-        return Node(nid, self.kind(nid), self.fanins(nid))
-
-    def nodes(self) -> Iterator[Node]:
-        for nid in range(len(self._codes)):
-            yield self.node(nid)
 
     def consumer_counts(self) -> list:
         """Consumers per node; output markers count once each."""
@@ -272,7 +293,7 @@ def metrics(c: Circuit) -> Metrics:
 
 
 def fanout_table(c: Circuit) -> dict:
-    """Node id -> consumer count, output markers included."""
+    """Map of node id -> consumer count, output markers included."""
     counts = c.consumer_counts()
     return {nid: counts[nid] for nid in range(len(c))}
 
@@ -294,22 +315,22 @@ def prune_dead(c: Circuit) -> Circuit:
                     live[b] = 1
     for nid in c.input_ids:
         live[nid] = 1
+    # survivors keep their relative order, so every fanin still points at
+    # an earlier node and remap is settled before it is read
     remap = [-1] * n
-    b = CircuitBuilder(c.name)
-    for nid in range(n):
+    codes, nf0, nf1 = array("b"), array("i"), array("i")
+    for nid, code in enumerate(c._codes):
         if not live[nid]:
             continue
-        if c.is_input(nid):
-            remap[nid] = b.add_input()
-        else:
-            fans = c.fanins(nid)
-            if len(fans) == 2:
-                remap[nid] = b.add_gate(c.kind(nid), remap[fans[0]], remap[fans[1]])
-            else:
-                remap[nid] = b.add_gate(c.kind(nid), remap[fans[0]])
-    for oid in c.output_ids:
-        b.mark_output(remap[oid])
-    return b.build()
+        remap[nid] = len(codes)
+        codes.append(code)
+        a = f0[nid]
+        nf0.append(remap[a] if a >= 0 else -1)
+        b = f1[nid]
+        nf1.append(remap[b] if b >= 0 else -1)
+    return Circuit(c.name, codes, nf0, nf1,
+                   tuple(remap[nid] for nid in c.input_ids),
+                   tuple(remap[oid] for oid in c.output_ids))
 
 
 # two-input gate -> (absorbing constant, result when absorbed)
@@ -408,11 +429,15 @@ class FanoutChain:
     passing the value along while serving one consumer (the final link
     serves two).  Callers must request outlets in consumption order so the
     earliest consumer lands closest to the source.
+
+    The chain works on any DAG under construction: `used` is the number
+    of consumers the source already has, and `link(prev)` appends one
+    repeater reading prev and returns it — a buffer or inverter gate on a
+    CircuitBuilder, a repeater node on a prefix graph.
     """
 
-    def __init__(self, b: CircuitBuilder, source: int, total: int,
-                 link_kind: str = BUF, cap: int = 2):
-        free = max(0, cap - b.uses[source])
+    def __init__(self, source, used: int, total: int, link):
+        free = max(0, 2 - used)
         if total <= free:
             outlets = [source] * total
             self.links = 0
@@ -425,13 +450,13 @@ class FanoutChain:
             outlets = [source] * (free - 1)
             cur = source
             for _ in range(self.links):
-                cur = b.add_gate(link_kind, cur)
+                cur = link(cur)
                 outlets.append(cur)
             outlets.append(cur)
         self._outlets = outlets
         self._pos = 0
 
-    def next(self) -> int:
+    def next(self):
         nid = self._outlets[self._pos]
         self._pos += 1
         return nid

@@ -16,12 +16,12 @@ one front door:
   y_i = a_i and b_i, and sum outputs s_1..s_{n+1} where s_1 = x_1,
   s_i = x_i xor c_i, and s_{n+1} is the carry-out.
 * verify_full_adder checks a full adder against integer addition with
-  the same report shape verify_adder uses for carry circuits.
+  the same report shape verify_adder uses for carry circuits.  It lives
+  in semantics, next to verify_adder, and is re-exported here.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Callable, NamedTuple
 
 from .circuit import AND, XOR, Circuit, CircuitBuilder, constant_fold
@@ -34,15 +34,7 @@ from .prefix import (
     sklansky,
 )
 from .reduction import build_linear_adder
-from .semantics import (
-    CHUNK_BITS,
-    PhaseResult,
-    VerifyReport,
-    _collect_counterexamples,
-    _enumeration_words,
-    packed_ripple,
-    simulate_packed,
-)
+from .semantics import verify_full_adder  # noqa: F401  (re-export)
 from .techmap import build_nandnor_adder
 
 
@@ -54,6 +46,9 @@ class AdderSpec(NamedTuple):
     r: int | None = None
     k: int | None = None
     tau: int | None = None
+    # read by no family, but netlist v1 headers serialise every spec
+    # field: dropping it would change every netlist byte and make the
+    # existing files fail to load
     seed: int | None = None
 
 
@@ -153,101 +148,17 @@ def build_full_adder(spec: AdderSpec) -> Circuit:
     n = spec.n
     b = CircuitBuilder(f"full-{spec.family}{n}")
     xs = []
-    remap = {}
-    core_inputs = iter(core.input_ids)
+    leaves = []
     for _ in range(n):
         ai = b.add_input()
         bi = b.add_input()
         x = b.add_gate(XOR, ai, bi)
-        y = b.add_gate(AND, ai, bi)
         xs.append(x)
-        remap[next(core_inputs)] = x
-        remap[next(core_inputs)] = y
-    for nid in range(len(core)):
-        if core.is_input(nid):
-            continue
-        remap[nid] = b.add_gate(core.kind(nid),
-                                *(remap[f] for f in core.fanins(nid)))
+        leaves += [x, b.add_gate(AND, ai, bi)]
+    remap = b.inline(core, leaves)
     carries = [remap[o] for o in core.output_ids]
     b.mark_output(xs[0])  # lowest sum equals the lowest propagate
     for i in range(1, n):
         b.mark_output(b.add_gate(XOR, xs[i], carries[i - 1]))
     b.mark_output(carries[n - 1])  # carry-out
     return b.build()
-
-
-def _full_sum_words(a_words, b_words, mask):
-    """Packed per-lane integer addition: words for s_1..s_{n+1}."""
-    x_words = [a ^ bb for a, bb in zip(a_words, b_words)]
-    y_words = [a & bb for a, bb in zip(a_words, b_words)]
-    carries = packed_ripple(x_words, y_words, mask)
-    sums = [x_words[0]]
-    sums.extend(x ^ c for x, c in zip(x_words[1:], carries))
-    sums.append(carries[-1])
-    return sums
-
-
-def _run_full_phase(c, n, name, word_iter, total, limit=10):
-    phase = PhaseResult(name, 0, 0)
-    done = 0
-    while done < total:
-        width = min(CHUNK_BITS, total - done)
-        words_ab = word_iter(done, width)
-        a_words = [ab[0] for ab in words_ab]
-        b_words = [ab[1] for ab in words_ab]
-        flat = []
-        for aw, bw in words_ab:
-            flat.append(aw)
-            flat.append(bw)
-        got = simulate_packed(c, flat, width)
-        expected = _full_sum_words(a_words, b_words, (1 << width) - 1)
-        diffs = [e ^ g for e, g in zip(expected, got)]
-        bad = 0
-        for d in diffs:
-            bad |= d
-        if bad:
-            for d in diffs:
-                phase.mismatches += bin(d).count("1")
-            if len(phase.counterexamples) < limit:
-                _collect_counterexamples(diffs, a_words, b_words, expected,
-                                         got, limit, done,
-                                         phase.counterexamples)
-        phase.patterns += width
-        done += width
-    return phase
-
-
-def verify_full_adder(c: Circuit, n: int, mode: str = "auto",
-                      samples: int = 100_000,
-                      seed: int = 0xC0FFEE) -> VerifyReport:
-    """Check a full adder against integer addition.
-
-    Exhaustive mode sweeps all 4**n summand-bit patterns; random mode
-    draws uniform summands.  Auto picks exhaustive for n <= 10.
-    """
-    if len(c.input_ids) != 2 * n:
-        raise ValueError(
-            f"expected {2 * n} inputs, circuit has {len(c.input_ids)}")
-    if len(c.output_ids) != n + 1:
-        raise ValueError(
-            f"expected {n + 1} outputs, circuit has {len(c.output_ids)}")
-    if mode == "auto":
-        mode = "exhaustive" if n <= 10 else "random"
-    phases = []
-    if mode == "exhaustive":
-        def grid(offset, width):
-            return _enumeration_words(n, 4, {1, 3}, {2, 3}, width, offset)
-
-        phases.append(_run_full_phase(c, n, "summands", grid, 4 ** n))
-    elif mode == "random":
-        rng = random.Random(seed)
-
-        def drawn(offset, width):
-            return [(rng.getrandbits(width), rng.getrandbits(width))
-                    for _ in range(n)]
-
-        phases.append(_run_full_phase(c, n, "random", drawn, samples))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    ok = all(p.mismatches == 0 for p in phases)
-    return VerifyReport(n=n, mode=mode, ok=ok, phases=phases)

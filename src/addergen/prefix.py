@@ -7,7 +7,7 @@ range.  A prefix graph fixes, for every output range [1, i], a parenthesis
 structure over the fold; the shape alone determines depth, size, and fan-out
 once each combine node expands to at most three gates.
 
-Node kinds:
+Graph node kinds:
   pair      an input position carrying (x_i, y_i)
   op        a full combine producing both components
   reduced   a combine whose x-component is never consumed (two gates)
@@ -21,7 +21,8 @@ repeater chains.
 
 from __future__ import annotations
 
-from .circuit import AND, BUF, OR, CircuitBuilder, lsb_carry
+from .circuit import AND, BUF, OR, CircuitBuilder, FanoutChain, lsb_carry
+from .reduction import _carry_demand
 
 PAIR = "pair"
 OP = "op"
@@ -122,38 +123,6 @@ class PrefixGraph:
                 f"size={self.size()} depth={self.depth()}>")
 
 
-class _NodeChain:
-    """Repeater chain giving one node many consumers at fan-out two.
-
-    total covers every future consumer including the output marker; callers
-    must draw outlets in consumption order so earlier consumers sit nearer
-    the source and later ones tolerate the added repeater latency.
-    """
-
-    def __init__(self, g: PrefixGraph, src: PrefixNode, total: int):
-        free = max(0, 2 - g.uses[src.id])
-        if total <= free:
-            outlets = [src] * total
-            self.links = 0
-        else:
-            if free == 0:
-                raise ValueError("chain source has no free fan-out slot")
-            self.links = total - free
-            outlets = [src] * (free - 1)
-            cur = src
-            for _ in range(self.links):
-                cur = g.repeater(cur)
-                outlets.append(cur)
-            outlets.append(cur)
-        self._outlets = outlets
-        self._pos = 0
-
-    def next(self) -> PrefixNode:
-        node = self._outlets[self._pos]
-        self._pos += 1
-        return node
-
-
 def _ld(n):
     if n < 1 or n & (n - 1):
         raise ValueError(f"n must be a power of two, got {n}")
@@ -216,17 +185,6 @@ def kogge_stone(n) -> PrefixGraph:
     return g
 
 
-def _chain_total(m, n):
-    """Future consumers of the [1, m] value: one correction per trailing-zero
-    stride that stays in range, plus the output marker."""
-    total = 1
-    v = (m & -m).bit_length() - 1
-    for sigma in range(1, v + 1):
-        if m + (1 << (sigma - 1)) <= n:
-            total += 1
-    return total
-
-
 def brent_kung(n) -> PrefixGraph:
     """Fan-out-two double tree: a halving reduction builds the power-of-two
     prefixes, then corrections peel back down, each combining one reduction
@@ -235,7 +193,9 @@ def brent_kung(n) -> PrefixGraph:
     Corrections are never consumed as the upper operand and never need
     their x-component, so they are emitted as reduced nodes.  Each chain
     serves its corrections largest-stride-first — the order the descending
-    correction phases consume them — and its output marker last.
+    correction phases consume them — and its output marker last.  This is
+    the reduction wrapper taken to tau = ld n, so chains are sized by its
+    demand count.
     """
     L = _ld(n)
     g = PrefixGraph(n, "brent-kung")
@@ -246,19 +206,23 @@ def brent_kung(n) -> PrefixGraph:
                        for i in range(len(prev) // 2)])
     P = {1: g.pairs[0]}
     chains = {}
+
+    def chain(m):
+        return FanoutChain(P[m], g.uses[P[m].id], _carry_demand(m, n, L),
+                           g.repeater)
+
     for ell in range(1, L + 1):
         m = 1 << ell
         P[m] = levels[ell][0]
-        chains[m] = _NodeChain(g, P[m], _chain_total(m, n))
+        chains[m] = chain(m)
     for s in range(L - 1, -1, -1):
         stride = 1 << s
         for j in range(3, n // stride + 1, 2):
             m = j * stride
-            node = g.op(levels[s][j - 1], chains[m - stride].next(),
+            P[m] = g.op(levels[s][j - 1], chains[m - stride].next(),
                         reduced=True)
-            P[m] = node
             if s >= 1:
-                chains[m] = _NodeChain(g, node, _chain_total(m, n))
+                chains[m] = chain(m)
     for m in range(1, n + 1):
         if m == 1:
             g.set_output(1, P[1])
@@ -339,72 +303,12 @@ def _expand_onto(b: CircuitBuilder, g: PrefixGraph, pair_ids):
     return carries
 
 
-def _component_demand(g: PrefixGraph):
-    """Non-extracted expansion: which repeater components have a consumer.
-
-    Ops always emit all components, so only repeaters need demand tracking:
-    a repeated x or y is emitted when some combine, chained repeater, or
-    carry marker downstream consumes it."""
-    need_x = [False] * len(g.nodes)
-    need_y = [False] * len(g.nodes)
-    for out in g.outputs:
-        need_y[out.id] = True
-    for v in reversed(g.nodes):
-        if v.kind == PAIR:
-            continue
-        if v.kind == REPEATER:
-            if need_y[v.id]:
-                need_y[v.upper.id] = True
-            if need_x[v.id]:
-                need_x[v.upper.id] = True
-            continue
-        need_x[v.upper.id] = True
-        need_y[v.upper.id] = True
-        need_y[v.lower.id] = True
-        if v.kind == OP:
-            need_x[v.lower.id] = True
-    return need_x, need_y
-
-
-def expand_to_logic(g: PrefixGraph, extract_carries=True, name="") -> "Circuit":
-    """Turn a prefix graph into a gate-level circuit.
-
-    With extract_carries the circuit is a carry unit: 2n inputs in position
-    order, n carry outputs, and only the gates those carries need.  Without
-    it every combine emits all of its components and the components of each
-    non-input output node are marked — the full structural expansion, useful
-    for inspecting cost before pruning.
-    """
+def expand_to_logic(g: PrefixGraph, name="") -> "Circuit":
+    """Turn a prefix graph into a gate-level carry circuit: 2n inputs in
+    position order, n carry outputs, and only the gates those carries
+    need (see _liveness)."""
     b = CircuitBuilder(name or f"{g.name or 'prefix'}{g.n}")
     pair_ids = [(b.add_input(), b.add_input()) for _ in range(g.n)]
-    if extract_carries:
-        for cid in _expand_onto(b, g, pair_ids):
-            b.mark_output(cid)
-        return b.build()
-    need_x, need_y = _component_demand(g)
-    xv = [None] * len(g.nodes)
-    yv = [None] * len(g.nodes)
-    for i, v in enumerate(g.pairs):
-        xv[v.id], yv[v.id] = pair_ids[i]
-    for v in g.nodes:
-        if v.kind == PAIR:
-            continue
-        if v.kind == REPEATER:
-            if need_x[v.id]:
-                xv[v.id] = b.add_gate(BUF, xv[v.upper.id])
-            if need_y[v.id]:
-                yv[v.id] = b.add_gate(BUF, yv[v.upper.id])
-            continue
-        ux = xv[v.upper.id]
-        if v.kind == OP:
-            xv[v.id] = b.add_gate(AND, ux, xv[v.lower.id])
-        inner = b.add_gate(AND, ux, yv[v.lower.id])
-        yv[v.id] = b.add_gate(OR, yv[v.upper.id], inner)
-    for v in g.outputs:
-        if v.kind == PAIR:
-            continue
-        if xv[v.id] is not None:
-            b.mark_output(xv[v.id])
-        if yv[v.id] is not None:
-            b.mark_output(yv[v.id])
+    for cid in _expand_onto(b, g, pair_ids):
+        b.mark_output(cid)
     return b.build()

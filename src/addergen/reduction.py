@@ -14,10 +14,8 @@ odd block j >= 3 is
 
 using the scale-s pair of block j, while even blocks reuse the coarser
 carry unchanged.  Every carry value therefore serves one correction per
-finer scale that needs it plus its own output marker; with fanout_two
-enabled these consumers are fed through buffer chains so no node exceeds
-fan-out two, otherwise consumers attach directly (smaller, unbounded
-fan-out).
+finer scale that needs it plus its own output marker; these consumers
+are fed through buffer chains so no node exceeds fan-out two.
 
 The arithmetic shape is fixed, but the gate vocabulary is pluggable: a
 style object supplies the combine / correction / chain / low-carry
@@ -26,28 +24,17 @@ Carries travel through the unstep machinery as opaque style tokens (the
 default style uses bare node ids).
 
 Cost of the wrapper, beyond the inner core: 3 gates per coarse pair,
-2 per correction, and at most ~n/2 chain buffers — under 5.5n total
-(under 5n without chains) — at a depth overhead of at most 4 * tau.
+2 per correction, and at most ~n/2 chain buffers — under 5.5n total —
+at a depth overhead of at most 4 * tau.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 
 from .circuit import AND, BUF, OR, CircuitBuilder, FanoutChain, prune_dead
 from .mig import _mig_carries, choose_params
-
-
-class _DirectTap:
-    """Chain stand-in that hands out the source itself (no fan-out cap)."""
-
-    __slots__ = ("_source",)
-
-    def __init__(self, source):
-        self._source = source
-
-    def next(self):
-        return self._source
 
 
 class OrAndStyle:
@@ -65,10 +52,9 @@ class OrAndStyle:
         """Carry across an odd block: y or (x and carry-in)."""
         return b.add_gate(OR, y, b.add_gate(AND, x, carry))
 
-    def chain(self, b: CircuitBuilder, token, total, fanout_two):
-        if not fanout_two:
-            return _DirectTap(token)
-        return FanoutChain(b, token, total)
+    def chain(self, b: CircuitBuilder, token, total):
+        return FanoutChain(token, b.uses[token], total,
+                           partial(b.add_gate, BUF))
 
     def lift(self, b: CircuitBuilder, node):
         """Wrap a pair's Y node as a carry token."""
@@ -80,7 +66,7 @@ class OrAndStyle:
         return b.add_gate(BUF, y1)
 
     def finalize(self, b: CircuitBuilder, token):
-        """Node id to mark as an output for a carry token."""
+        """The node id to mark as an output for a carry token."""
         return token
 
 
@@ -97,7 +83,7 @@ def _carry_demand(m: int, n: int, tau: int) -> int:
 
 
 def _reduction_carries(b: CircuitBuilder, pairs, tau: int, inner_fn,
-                       fanout_two=True, style=None):
+                       style=None):
     """Emit the reduction wrapper onto a builder; returns carry node ids
     c_2..c_{n+1} in position order.
 
@@ -125,8 +111,7 @@ def _reduction_carries(b: CircuitBuilder, pairs, tau: int, inner_fn,
     chains = {}
     for i, token in enumerate(tokens, start=1):
         m = i << tau
-        chains[m] = style.chain(b, token, _carry_demand(m, n, tau),
-                                fanout_two)
+        chains[m] = style.chain(b, token, _carry_demand(m, n, tau))
 
     for s in range(tau - 1, -1, -1):
         stride = 1 << s
@@ -135,20 +120,17 @@ def _reduction_carries(b: CircuitBuilder, pairs, tau: int, inner_fn,
             low = style.lift(b, level[0][1])
         else:
             low = style.lowest_carry(b, level[0][0], level[0][1])
-        chains[stride] = style.chain(b, low, _carry_demand(stride, n, tau),
-                                     fanout_two)
+        chains[stride] = style.chain(b, low, _carry_demand(stride, n, tau))
         for j in range(3, (n >> s) + 1, 2):
             x, y = level[j - 1]
             token = style.correction(b, x, y, chains[(j - 1) << s].next())
             chains[j << s] = style.chain(b, token,
-                                         _carry_demand(j << s, n, tau),
-                                         fanout_two)
+                                         _carry_demand(j << s, n, tau))
 
     return [style.finalize(b, chains[m].next()) for m in range(1, n + 1)]
 
 
-def apply_reduction(n: int, tau: int, inner_fn, fanout_two=True, style=None,
-                    name=""):
+def apply_reduction(n: int, tau: int, inner_fn, style=None, name=""):
     """Carry circuit over n positions: tau halving steps around inner_fn.
 
     The result is returned unpruned; wrappers add no dead gates of their
@@ -157,8 +139,7 @@ def apply_reduction(n: int, tau: int, inner_fn, fanout_two=True, style=None,
     """
     b = CircuitBuilder(name or f"reduced{n}-t{tau}")
     pairs = [(b.add_input(), b.add_input()) for _ in range(n)]
-    for cid in _reduction_carries(b, pairs, tau, inner_fn,
-                                  fanout_two=fanout_two, style=style):
+    for cid in _reduction_carries(b, pairs, tau, inner_fn, style=style):
         b.mark_output(cid)
     return b.build()
 
@@ -175,7 +156,7 @@ def reduction_depth_for(n: int) -> int:
     return max(0, min(tau, ld - 1))
 
 
-def build_linear_adder(n: int, fanout_two=True, tau=None):
+def build_linear_adder(n: int, tau=None):
     """Linear-size, fan-out-two carry circuit: reduction steps around a
     multi-input-generate core on the surviving coarse positions.
 
@@ -195,6 +176,5 @@ def build_linear_adder(n: int, fanout_two=True, tau=None):
     def inner(b, coarse_pairs):
         return _mig_carries(b, coarse_pairs, r, k)
 
-    raw = apply_reduction(n, tau, inner, fanout_two=fanout_two,
-                          name=f"linear{n}")
+    raw = apply_reduction(n, tau, inner, name=f"linear{n}")
     return prune_dead(raw)

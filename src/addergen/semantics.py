@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 
 from .circuit import Circuit
 
@@ -237,11 +238,9 @@ class VerifyReport:
         return f"n={self.n} [{self.mode}] {status} ({parts})"
 
 
-def _collect_counterexamples(diffs, x_words, y_words, expected, got,
+def _collect_counterexamples(any_diff, x_words, y_words, expected, got,
                              limit, base_index, out):
-    any_diff = 0
-    for d in diffs:
-        any_diff |= d
+    """Append a counterexample per set lane of any_diff, lowest first."""
     while any_diff and len(out) < limit:
         t = (any_diff & -any_diff).bit_length() - 1
         pairs = tuple(((xw >> t) & 1, (yw >> t) & 1)
@@ -252,12 +251,29 @@ def _collect_counterexamples(diffs, x_words, y_words, expected, got,
         any_diff &= any_diff - 1
 
 
-def _run_phase(c, n, name, word_iter, total, limit=10):
+def _full_sum_words(a_words, b_words, mask):
+    """Packed oracle: sum bits s_1..s_{n+1} of per-lane integer addition."""
+    x_words = [a ^ b for a, b in zip(a_words, b_words)]
+    y_words = [a & b for a, b in zip(a_words, b_words)]
+    carries = packed_ripple(x_words, y_words, mask)
+    sums = [x_words[0]]
+    sums.extend(x ^ c for x, c in zip(x_words[1:], carries))
+    sums.append(carries[-1])
+    return sums
+
+
+def _run_phase(c, name, word_iter, total, oracle, limit=10):
+    """Simulate total patterns in chunks and compare with the packed oracle.
+
+    word_iter(width, offset) gives one (first, second) word pair per bit
+    position for lanes offset..offset+width-1; oracle(first_words,
+    second_words, mask) gives the expected output words.
+    """
     phase = PhaseResult(name, 0, 0)
     done = 0
     while done < total:
         width = min(CHUNK_BITS, total - done)
-        words_xy = word_iter(done, width)
+        words_xy = word_iter(width, done)
         x_words = [xy[0] for xy in words_xy]
         y_words = [xy[1] for xy in words_xy]
         flat = []
@@ -266,7 +282,7 @@ def _run_phase(c, n, name, word_iter, total, limit=10):
             flat.append(yw)
         got = simulate_packed(c, flat, width)
         mask = (1 << width) - 1
-        expected = packed_ripple(x_words, y_words, mask)
+        expected = oracle(x_words, y_words, mask)
         diffs = [e ^ g for e, g in zip(expected, got)]
         bad = 0
         for d in diffs:
@@ -275,12 +291,47 @@ def _run_phase(c, n, name, word_iter, total, limit=10):
             for d in diffs:
                 phase.mismatches += bin(d).count("1")
             if len(phase.counterexamples) < limit:
-                _collect_counterexamples(diffs, x_words, y_words, expected,
+                _collect_counterexamples(bad, x_words, y_words, expected,
                                          got, limit, done,
                                          phase.counterexamples)
         phase.patterns += width
         done += width
     return phase
+
+
+def _verify(c, n, n_outputs, oracle, grids, mode, samples, seed):
+    """Interface checks and mode dispatch shared by both verifiers.
+
+    grids lists the exhaustive phases as (name, base, first_digits,
+    second_digits) over the base**n enumeration; random mode draws
+    `samples` uniform patterns from seed instead.
+    """
+    if len(c.input_ids) != 2 * n:
+        raise ValueError(f"expected {2 * n} inputs, circuit has {len(c.input_ids)}")
+    if len(c.output_ids) != n_outputs:
+        raise ValueError(
+            f"expected {n_outputs} outputs, circuit has {len(c.output_ids)}")
+    if mode == "auto":
+        mode = "exhaustive" if n <= 10 else "random"
+    phases = []
+    if mode == "exhaustive":
+        for name, base, first, second in grids:
+            grid = partial(_enumeration_words, n, base, first, second)
+            phases.append(_run_phase(c, name, grid, base ** n, oracle))
+    elif mode == "random":
+        if samples < 1:
+            raise ValueError(f"samples must be at least 1, got {samples}")
+        rng = random.Random(seed)
+
+        def drawn(width, offset):
+            return [(rng.getrandbits(width), rng.getrandbits(width))
+                    for _ in range(n)]
+
+        phases.append(_run_phase(c, "random", drawn, samples, oracle))
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    ok = all(p.mismatches == 0 for p in phases)
+    return VerifyReport(n=n, mode=mode, ok=ok, phases=phases)
 
 
 def verify_adder(c: Circuit, n: int, mode: str = "auto",
@@ -293,31 +344,17 @@ def verify_adder(c: Circuit, n: int, mode: str = "auto",
     Random mode draws uniform unrestricted patterns.  Auto picks exhaustive
     for n <= 10 and random otherwise.
     """
-    if len(c.input_ids) != 2 * n:
-        raise ValueError(f"expected {2 * n} inputs, circuit has {len(c.input_ids)}")
-    if len(c.output_ids) != n:
-        raise ValueError(f"expected {n} outputs, circuit has {len(c.output_ids)}")
-    if mode == "auto":
-        mode = "exhaustive" if n <= 10 else "random"
-    phases = []
-    if mode == "exhaustive":
-        def restricted(offset, width):
-            return _enumeration_words(n, 3, {2}, {1}, width, offset)
+    grids = (("restricted", 3, {2}, {1}), ("unrestricted", 4, {1, 3}, {2, 3}))
+    return _verify(c, n, n, packed_ripple, grids, mode, samples, seed)
 
-        def unrestricted(offset, width):
-            return _enumeration_words(n, 4, {1, 3}, {2, 3}, width, offset)
 
-        phases.append(_run_phase(c, n, "restricted", restricted, 3 ** n))
-        phases.append(_run_phase(c, n, "unrestricted", unrestricted, 4 ** n))
-    elif mode == "random":
-        rng = random.Random(seed)
+def verify_full_adder(c: Circuit, n: int, mode: str = "auto",
+                      samples: int = 100_000,
+                      seed: int = 0xC0FFEE) -> VerifyReport:
+    """Check a full adder against integer addition.
 
-        def drawn(offset, width):
-            return [(rng.getrandbits(width), rng.getrandbits(width))
-                    for _ in range(n)]
-
-        phases.append(_run_phase(c, n, "random", drawn, samples))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    ok = all(p.mismatches == 0 for p in phases)
-    return VerifyReport(n=n, mode=mode, ok=ok, phases=phases)
+    Exhaustive mode sweeps all 4**n summand-bit patterns; random mode
+    draws uniform summands.  Auto picks exhaustive for n <= 10.
+    """
+    grids = (("summands", 4, {1, 3}, {2, 3}),)
+    return _verify(c, n, n + 1, _full_sum_words, grids, mode, samples, seed)

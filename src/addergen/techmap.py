@@ -36,11 +36,13 @@ carry arrives inverted - the single extra level over the AND/OR adder.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from .circuit import (
     AND,
     BUF,
+    KIND_CODES,
     NAND,
     NOR,
     NOT,
@@ -141,30 +143,32 @@ def _demorgan(lc: LevelizedCircuit, normalize: bool = True, name: str = ""):
     delivered inverted.  With normalize=True an inverter is appended to
     every odd-row output so each parity is False.  Inputs sitting on
     odd rows are expected in inverted form.
+
+    The mapping only relabels gate kinds, so the result shares the
+    wiring of lc.circuit; normalizing copies it (inputs first, as
+    levelize places them) to append the inverters.
     """
     c = lc.circuit
-    b = CircuitBuilder(name or c.name)
-    remap = {}
+    codes = array("b", c._codes)
     for nid in range(len(c)):
         if c.is_input(nid):
-            remap[nid] = b.add_input()
             continue
         table = _ODD_ROW if lc.levels[nid] % 2 else _EVEN_ROW
         kind = table.get(c.kind(nid))
         if kind is None:
             raise ValueError(
                 f"cannot map {c.kind(nid)!r} gates; expected and/or/buf")
-        remap[nid] = b.add_gate(kind, *(remap[f] for f in c.fanins(nid)))
-    parities = []
-    for oid in c.output_ids:
-        node = remap[oid]
-        inverted = bool(lc.levels[oid] % 2)
-        if inverted and normalize:
-            node = b.add_gate(NOT, node)
-            inverted = False
-        parities.append(inverted)
-        b.mark_output(node)
-    return b.build(), tuple(parities)
+        codes[nid] = KIND_CODES[kind]
+    mapped = Circuit(name or c.name, codes, c._f0, c._f1,
+                     c.input_ids, c.output_ids)
+    parities = tuple(bool(lc.levels[oid] % 2) for oid in c.output_ids)
+    if not normalize:
+        return mapped, parities
+    b = CircuitBuilder(mapped.name)
+    remap = b.inline(mapped, [b.add_input() for _ in mapped.input_ids])
+    for oid, inverted in zip(mapped.output_ids, parities):
+        b.mark_output(b.add_gate(NOT, remap[oid]) if inverted else remap[oid])
+    return b.build(), (False,) * len(parities)
 
 
 def demorgan_map(lc: LevelizedCircuit, name: str = "") -> Circuit:
@@ -181,28 +185,23 @@ def _signal(x):
 class _NotChain:
     """Fan-out chain over inverters; outlets carry their polarity."""
 
-    __slots__ = ("_chain", "_parities", "_pos")
+    __slots__ = ("_chain", "_inverted")
 
     def __init__(self, b: CircuitBuilder, token, total: int):
         node, neg = token
-        self._chain = FanoutChain(b, node, total, link_kind=NOT)
-        links = self._chain.links
-        if links == 0:
-            parities = [neg] * total
-        else:
-            parities = [neg] * (total - links - 1)
-            p = neg
-            for _ in range(links):
-                p = not p
-                parities.append(p)
-            parities.append(p)
-        self._parities = parities
-        self._pos = 0
+        inverted = {node: neg}
+
+        def link(prev):
+            nid = b.add_gate(NOT, prev)
+            inverted[nid] = not inverted[prev]
+            return nid
+
+        self._chain = FanoutChain(node, b.uses[node], total, link)
+        self._inverted = inverted
 
     def next(self):
-        p = self._parities[self._pos]
-        self._pos += 1
-        return self._chain.next(), p
+        nid = self._chain.next()
+        return nid, self._inverted[nid]
 
 
 class NandNorStyle:
@@ -243,9 +242,7 @@ class NandNorStyle:
         return b.add_gate(
             NAND, b.add_gate(NAND, xtrue, cn), b.add_gate(NOT, y)), False
 
-    def chain(self, b: CircuitBuilder, token, total, fanout_two):
-        if not fanout_two:
-            raise ValueError("inverting rebuild requires distribution chains")
+    def chain(self, b: CircuitBuilder, token, total):
         return _NotChain(b, token, total)
 
     def lift(self, b: CircuitBuilder, node):
@@ -257,18 +254,6 @@ class NandNorStyle:
     def finalize(self, b: CircuitBuilder, token):
         node, neg = token
         return b.add_gate(NOT, node) if neg else node
-
-
-def _inline(b: CircuitBuilder, mapped: Circuit, parities, leaves):
-    """Copy a mapped core onto a builder, its inputs replaced by `leaves`;
-    returns the core's carry tokens."""
-    remap = dict(zip(mapped.input_ids, leaves))
-    for nid in range(len(mapped)):
-        if mapped.is_input(nid):
-            continue
-        remap[nid] = b.add_gate(mapped.kind(nid),
-                                *(remap[f] for f in mapped.fanins(nid)))
-    return [(remap[o], p) for o, p in zip(mapped.output_ids, parities)]
 
 
 def build_nandnor_adder(n: int) -> Circuit:
@@ -295,7 +280,8 @@ def build_nandnor_adder(n: int) -> Circuit:
         for pair in coarse_pairs:
             xn, _ = _signal(pair[0])
             leaves += [xn, pair[1]]
-        return _inline(b, mapped, parities, leaves)
+        remap = b.inline(mapped, leaves)
+        return [(remap[o], p) for o, p in zip(mapped.output_ids, parities)]
 
     raw = apply_reduction(n, tau, inner, style=NandNorStyle(),
                           name=f"nandnor{n}")

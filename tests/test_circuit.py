@@ -1,6 +1,8 @@
 """Structural-layer tests: builder invariants, validation, metrics,
 fan-out accounting, pruning, constant folding, and repeater chains."""
 
+from functools import partial
+
 import pytest
 
 from addergen.circuit import (
@@ -64,6 +66,34 @@ class TestBuilder:
         assert b.fanout(i0) == 2
         b.mark_output(g)
         assert b.fanout(g) == 1
+
+    def test_inline_binds_inputs_to_leaves(self):
+        core = tiny_carry2()
+        b = CircuitBuilder()
+        ins = [b.add_input() for _ in range(4)]
+        leaves = [b.add_gate(NOT, i) for i in ins]
+        remap = b.inline(core, leaves)
+        assert [remap[i] for i in core.input_ids] == leaves
+        # consumers are counted as for add_gate (inputs are no outputs)
+        assert [b.fanout(x) for x in leaves] == [
+            core.consumer_counts()[i] for i in core.input_ids]
+        c = b.build()
+        assert len(c) == 8 + core.num_gates
+        for nid in range(len(core)):
+            if not core.is_input(nid):
+                assert c.kind(remap[nid]) == core.kind(nid)
+                assert c.fanins(remap[nid]) == tuple(
+                    remap[f] for f in core.fanins(nid))
+
+    def test_inline_checks_leaves(self):
+        core = tiny_carry2()
+        b = CircuitBuilder()
+        ins = [b.add_input() for _ in range(4)]
+        with pytest.raises(ValueError, match="leaves"):
+            b.inline(core, ins[:3])
+        with pytest.raises(ValueError, match="out of range"):
+            b.inline(core, ins[:3] + [4])
+        assert len(b) == 4
 
 
 class TestValidate:
@@ -233,6 +263,10 @@ class TestConstantFold:
         assert f.kind(f.output_ids[0]) == OR
 
 
+def buf_chain(b, src, total):
+    return FanoutChain(src, b.uses[src], total, partial(b.add_gate, BUF))
+
+
 class TestFanoutChain:
     def _consume(self, b, chain, count):
         sinks = []
@@ -246,7 +280,7 @@ class TestFanoutChain:
         i0 = b.add_input()
         i1 = b.add_input()
         src = b.add_gate(AND, i0, i1)
-        chain = FanoutChain(b, src, total)
+        chain = buf_chain(b, src, total)
         sinks = self._consume(b, chain, total)
         for s in sinks:
             b.mark_output(s)
@@ -259,7 +293,7 @@ class TestFanoutChain:
         b = CircuitBuilder()
         i0 = b.add_input()
         src = b.add_gate(BUF, i0)
-        chain = FanoutChain(b, src, 2)
+        chain = buf_chain(b, src, 2)
         assert chain.next() == src and chain.next() == src
         assert chain.links == 0
 
@@ -267,7 +301,7 @@ class TestFanoutChain:
         b = CircuitBuilder()
         i0 = b.add_input()
         src = b.add_gate(BUF, i0)
-        chain = FanoutChain(b, src, 4)
+        chain = buf_chain(b, src, 4)
         outlets = [chain.next() for _ in range(4)]
         # first outlet is the source itself, later ones sit deeper
         assert outlets[0] == src
@@ -281,7 +315,7 @@ class TestFanoutChain:
         b.add_gate(NOT, src)
         b.add_gate(NOT, src)
         with pytest.raises(ValueError):
-            FanoutChain(b, src, 1)
+            buf_chain(b, src, 1)
 
 
 class TestLsbCarry:

@@ -146,6 +146,12 @@ class TestFullAdder:
         report = verify_full_adder(c, 33, samples=20_000, seed=3)
         assert report.mode == "random" and report.ok
 
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_random_mode_needs_a_sample(self, samples):
+        c = build_full_adder(AdderSpec("ripple", 4))
+        with pytest.raises(ValueError, match="samples"):
+            verify_full_adder(c, 4, mode="random", samples=samples)
+
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_wrapper_cost_is_three_gates_per_bit(self, family):
         # n XOR + n AND of preparation plus n-1 sum XORs (the lowest sum

@@ -172,6 +172,19 @@ class TestCliGenVerify:
                      "--seed", "7"]) == 0
         assert "seed=0x7" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("full", [False, True])
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_verify_without_samples_exits_2(self, tmp_path, capsys, samples,
+                                            full):
+        out = tmp_path / "r4.nl"
+        assert main(["gen", "--family", "ripple", "--n", "4", "--out",
+                     str(out)] + ["--full-adder"] * full) == 0
+        capsys.readouterr()
+        assert main(["verify", "--in", str(out), "--samples", samples]) == 2
+        captured = capsys.readouterr()
+        assert "samples must be at least 1" in captured.err
+        assert "OK" not in captured.out
+
     def test_verify_exhaustive_n10_completes(self, tmp_path, capsys):
         out = tmp_path / "r10.nl"
         assert main(["gen", "--family", "ripple", "--n", "10",

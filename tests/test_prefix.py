@@ -163,33 +163,3 @@ class TestExpansion:
         for n in (4, 8, 16, 32, 64):
             c = expand_to_logic(kogge_stone(n))
             assert metrics(c).depth == 2 * (n.bit_length() - 1), n
-
-
-class TestFullExpansion:
-    def test_single_op_graph_expands_to_three_gates(self):
-        c = expand_to_logic(kogge_stone(2), extract_carries=False)
-        assert metrics(c).size == 3
-        assert len(c.output_ids) == 2  # both components of the one combine
-
-    def test_kogge_stone_8_all_components(self):
-        c = expand_to_logic(kogge_stone(8), extract_carries=False)
-        # 17 combines at three gates each, 3 repeaters at two buffers each
-        assert metrics(c).size == 57
-        assert len(c.output_ids) == 16
-
-    def test_serial_8_all_components(self):
-        c = expand_to_logic(serial_prefix(8), extract_carries=False)
-        assert metrics(c).size == 21
-        assert len(c.output_ids) == 14  # the [1,1] output is a bare input
-
-    @pytest.mark.parametrize("family", sorted(BUILDERS))
-    def test_validates_clean(self, family):
-        c = expand_to_logic(BUILDERS[family](8), extract_carries=False)
-        assert validate(c) == []
-
-    def test_extract_is_smaller(self):
-        for family in BUILDERS:
-            g = BUILDERS[family](16)
-            full = expand_to_logic(g, extract_carries=False)
-            lean = expand_to_logic(g)
-            assert metrics(lean).size < metrics(full).size

@@ -8,8 +8,7 @@ with w = n >> tau coarse positions):
     the tau scales = (n - w) - tau of each;
   * distribution: buffer chains totalling at most n / 2 gates.
 So the wrapper alone costs exactly 3(n-w) - tau ANDs and 2(n-w) - tau
-ORs beyond the inner core, staying under 5.5n gates with chains and
-under 5n without.
+ORs beyond the inner core, staying under 5.5n gates with chains.
 """
 
 from collections import Counter
@@ -18,7 +17,6 @@ import pytest
 
 from addergen.circuit import (
     CircuitBuilder,
-    fanout_table,
     metrics,
     prune_dead,
     validate,
@@ -108,13 +106,6 @@ class TestReductionStructure:
         assert not validate(c)
         assert prune_dead(c).num_gates == c.num_gates
 
-    def test_unchained_variant_is_smaller_but_wider(self):
-        chained = apply_reduction(64, 3, serial_inner)
-        plain = apply_reduction(64, 3, serial_inner, fanout_two=False)
-        assert plain.num_gates < chained.num_gates
-        assert max(fanout_table(chained).values()) == 2
-        assert max(fanout_table(plain).values()) > 2
-
     def test_width_must_divide(self):
         with pytest.raises(ValueError):
             apply_reduction(6, 2, serial_inner)
@@ -143,10 +134,6 @@ class TestReductionCorrectness:
         assert not validate(c)
         assert verify_adder(c, n, mode="exhaustive").ok
         assert metrics(c).max_fanout == 2
-
-    def test_exhaustive_unchained(self):
-        c = apply_reduction(8, 2, serial_inner, fanout_two=False)
-        assert verify_adder(c, 8, mode="exhaustive").ok
 
 
 class TestLinearAdder:
@@ -192,8 +179,3 @@ class TestLinearAdder:
     def test_random_verification(self):
         c = build_linear_adder(256)
         assert verify_adder(c, 256, mode="random", samples=20000, seed=11).ok
-
-    def test_unchained_flavor(self):
-        c = build_linear_adder(64, fanout_two=False)
-        assert verify_adder(c, 64, mode="random", samples=5000).ok
-        assert max(fanout_table(c).values()) > 2

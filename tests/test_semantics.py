@@ -208,6 +208,11 @@ class TestVerifyAdder:
         with pytest.raises(ValueError):
             verify_adder(tiny_carry2(), 3)
 
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_random_mode_needs_a_sample(self, samples):
+        with pytest.raises(ValueError, match="samples"):
+            verify_adder(tiny_carry2(), 2, mode="random", samples=samples)
+
     def test_multi_chunk_exhaustive(self):
         # n=8 unrestricted sweeps 65536 lanes = two chunks at the default
         # chunk width; the tiny ripple circuit must still verify cleanly
