@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import accumulate, compress, count
+from operator import not_
 
 INPUT = "input"
 AND = "and"
@@ -30,6 +32,7 @@ GATE_ARITY = {AND: 2, OR: 2, XOR: 2, NAND: 2, NOR: 2, NOT: 1, BUF: 1}
 # stable small codes used by the array representation and the netlist format
 KIND_CODES = {INPUT: 0, AND: 1, OR: 2, XOR: 3, NOT: 4, BUF: 5, NAND: 6, NOR: 7}
 KIND_NAMES = {code: name for name, code in KIND_CODES.items()}
+_ARITY = {code: GATE_ARITY.get(name, 0) for name, code in KIND_CODES.items()}
 
 
 @dataclass(frozen=True)
@@ -185,19 +188,19 @@ class Circuit:
         return (f0,) if f1 < 0 else (f0, f1)
 
     def consumer_counts(self) -> list:
-        """Consumers per node; output markers count once each."""
+        """Consumers per node; output markers count once each.
+
+        Absent fanins must be -1, as in every circuit the builder makes.
+        """
         if self._consumers is None:
-            counts = [0] * len(self._codes)
-            f0, f1 = self._f0, self._f1
-            for nid in range(len(self._codes)):
-                a = f0[nid]
-                if a >= 0:
-                    counts[a] += 1
-                    b = f1[nid]
-                    if b >= 0:
-                        counts[b] += 1
+            counts = [0] * (len(self._codes) + 1)  # slot -1 absorbs fanin -1
+            for a in self._f0:
+                counts[a] += 1
+            for b in self._f1:
+                counts[b] += 1
             for oid in self.output_ids:
                 counts[oid] += 1
+            del counts[-1]
             self._consumers = counts
         return self._consumers
 
@@ -211,64 +214,79 @@ class Metrics:
 
 
 def validate(c: Circuit) -> list:
-    """Structural checks; returns violations as data, empty list when clean."""
-    out = []
-    n = len(c)
+    """Structural checks; returns violations as data, empty list when clean.
+
+    A fanin that is not an earlier node, and an output id out of range, is
+    reported and then counts as no consumer.
+    """
+    codes, f0, f1 = c._codes, c._f0, c._f1
+    n = len(codes)
     input_set = set(c.input_ids)
+    out = []
     if c.num_gates == 0:
         out.append(Violation("no-gates", -1, "circuit has no gates"))
-    for nid in range(n):
-        code = c.kind_code(nid)
-        fans = c.fanins(nid)
+    # suspects: nodes whose marking or fanins (earlier ids, -1 where absent)
+    # do not fit their kind; only they get the per-rule report below
+    suspects = []
+    for nid, code, a, b in zip(count(), codes, f0, f1):
+        if code:
+            if (not -1 < a < nid or b >= nid or nid in input_set
+                    or (b < 0 if _ARITY[code] == 2 else b != -1)):
+                suspects.append(nid)
+        elif a != -1 or b != -1 or nid not in input_set:
+            suspects.append(nid)
+    if suspects:
+        f0, f1 = array("i", f0), array("i", f1)
+    for nid in suspects:
+        code, a, b = codes[nid], f0[nid], f1[nid]
+        fans = () if a < 0 else (a,) if b < 0 else (a, b)
         if code == 0:
             if nid not in input_set:
                 out.append(Violation("input-marking", nid,
                                      "input-kind node missing from input list"))
             if fans:
                 out.append(Violation("arity", nid, "input with fanins"))
-            continue
-        want = GATE_ARITY[KIND_NAMES[code]]
-        if len(fans) != want:
-            out.append(Violation("arity", nid,
-                                 f"{KIND_NAMES[code]} has {len(fans)} fanins"))
-        for f in fans:
-            if not 0 <= f < nid:
-                out.append(Violation("ordering", nid, f"fanin {f} not earlier"))
-        if nid in input_set:
-            out.append(Violation("input-marking", nid,
-                                 "gate listed as input"))
+        else:
+            if len(fans) != _ARITY[code]:
+                out.append(Violation("arity", nid,
+                                     f"{KIND_NAMES[code]} has {len(fans)} fanins"))
+            for f in fans:
+                if not 0 <= f < nid:
+                    out.append(Violation("ordering", nid,
+                                         f"fanin {f} not earlier"))
+            if nid in input_set:
+                out.append(Violation("input-marking", nid,
+                                     "gate listed as input"))
+        kept = [f for f in fans if 0 <= f < nid] + [-1, -1]
+        f0[nid], f1[nid] = kept[0], kept[1]
+    outputs = []
     for oid in c.output_ids:
         if not 0 <= oid < n:
             out.append(Violation("output-range", oid, "output id out of range"))
-        elif c.is_input(oid):
+            continue
+        if codes[oid] == 0:
             out.append(Violation("output-on-input", oid,
                                  "output marker must name a gate"))
-    counts = c.consumer_counts()
-    outputs = set(c.output_ids)
-    for nid in range(n):
-        if counts[nid] == 0:
-            if c.is_input(nid):
-                out.append(Violation("dangling-input", nid,
-                                     "input drives nothing"))
-            elif nid not in outputs:
-                out.append(Violation("dangling-gate", nid,
-                                     "gate has no consumer and is not an output"))
+        outputs.append(oid)
+    if suspects or len(outputs) != len(c.output_ids):
+        c = Circuit(c.name, codes, f0, f1, c.input_ids, tuple(outputs))
+    for nid in compress(count(), map(not_, c.consumer_counts())):
+        if codes[nid] == 0:
+            out.append(Violation("dangling-input", nid, "input drives nothing"))
+        else:
+            out.append(Violation("dangling-gate", nid,
+                                 "gate has no consumer and is not an output"))
     return out
 
 
 def node_depths(c: Circuit) -> list:
     """Longest gate count from any input to each node (inputs are 0)."""
-    depths = [0] * len(c)
-    f0, f1 = c._f0, c._f1
-    for nid in range(len(c)):
-        a = f0[nid]
-        if a < 0:
-            continue
-        b = f1[nid]
-        d = depths[a]
-        if b >= 0 and depths[b] > d:
-            d = depths[b]
-        depths[nid] = d + 1
+    depths = [0] * (len(c) + 1)  # slot -1 stays 0 for an absent fanin
+    for nid, a, b in zip(count(), c._f0, c._f1):
+        if a >= 0:
+            da, db = depths[a], depths[b]
+            depths[nid] = (da if da > db else db) + 1
+    del depths[-1]
     return depths
 
 
@@ -278,17 +296,14 @@ def metrics(c: Circuit) -> Metrics:
     if violations:
         raise CircuitError(violations)
     depths = node_depths(c)
-    hist = {}
-    for nid in range(len(c)):
-        code = c.kind_code(nid)
-        if code != 0:
-            name = KIND_NAMES[code]
-            hist[name] = hist.get(name, 0) + 1
+    codes = c._codes.tobytes()  # one byte per kind code
+    # kinds in order of first occurrence, as a node-by-node count lists them
+    firsts = sorted((codes.index(k), k) for k in KIND_NAMES if k and k in codes)
     return Metrics(
         depth=max(depths) if depths else 0,
         size=c.num_gates,
         max_fanout=max(c.consumer_counts()),
-        histogram=hist,
+        histogram={KIND_NAMES[k]: codes.count(k) for _, k in firsts},
     )
 
 
@@ -301,34 +316,25 @@ def fanout_table(c: Circuit) -> dict:
 def prune_dead(c: Circuit) -> Circuit:
     """Drop gates that cannot reach an output marker; inputs always survive."""
     n = len(c)
-    live = bytearray(n)
+    live = bytearray(n + 1)  # slot -1 absorbs the absent fanin -1
     for oid in c.output_ids:
         live[oid] = 1
-    f0, f1 = c._f0, c._f1
-    for nid in range(n - 1, -1, -1):
+    for nid, a, b in zip(range(n - 1, -1, -1), reversed(c._f0),
+                         reversed(c._f1)):
         if live[nid]:
-            a = f0[nid]
-            if a >= 0:
-                live[a] = 1
-                b = f1[nid]
-                if b >= 0:
-                    live[b] = 1
+            live[a] = 1
+            live[b] = 1
+    del live[-1]
     for nid in c.input_ids:
         live[nid] = 1
-    # survivors keep their relative order, so every fanin still points at
-    # an earlier node and remap is settled before it is read
-    remap = [-1] * n
-    codes, nf0, nf1 = array("b"), array("i"), array("i")
-    for nid, code in enumerate(c._codes):
-        if not live[nid]:
-            continue
-        remap[nid] = len(codes)
-        codes.append(code)
-        a = f0[nid]
-        nf0.append(remap[a] if a >= 0 else -1)
-        b = f1[nid]
-        nf1.append(remap[b] if b >= 0 else -1)
-    return Circuit(c.name, codes, nf0, nf1,
+    # survivors keep their relative order, so a survivor's new id is the
+    # number of survivors before it; every fanin of a survivor survives
+    remap = list(accumulate(live, initial=0))
+    remap[-1] = -1
+    f0 = array("i", list(map(remap.__getitem__, compress(c._f0, live))))
+    f1 = array("i", list(map(remap.__getitem__, compress(c._f1, live))))
+    codes = array("b", bytes(compress(c._codes, live)))
+    return Circuit(c.name, codes, f0, f1,
                    tuple(remap[nid] for nid in c.input_ids),
                    tuple(remap[oid] for oid in c.output_ids))
 

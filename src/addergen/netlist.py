@@ -19,11 +19,11 @@ reproduces it byte for byte.
 from __future__ import annotations
 
 import json
+from array import array
+from itertools import count
 from typing import NamedTuple
 
-from .circuit import (
-    Circuit, CircuitBuilder, GATE_ARITY, KIND_CODES, validate,
-)
+from .circuit import Circuit, GATE_ARITY, KIND_CODES, KIND_NAMES, validate
 from .families import AdderSpec
 
 FORMAT_NAME = "addergen-netlist"
@@ -70,12 +70,11 @@ def dumps_netlist(c: Circuit, spec: AdderSpec | None = None,
         "outputs": outputs,
     }
     lines = [json.dumps(header, separators=(",", ":"))]
-    for nid in range(len(c)):
-        kind = c.kind(nid)
-        fans = " ".join(str(f) for f in c.fanins(nid))
-        lines.append(f"{nid} {kind} {fans}".rstrip())
-    for oid in c.output_ids:
-        lines.append(f"output {oid}")
+    lines += [f"{nid} {KIND_NAMES[k]}" if a < 0
+              else f"{nid} {KIND_NAMES[k]} {a}" if b < 0
+              else f"{nid} {KIND_NAMES[k]} {a} {b}"
+              for nid, k, a, b in zip(count(), c._codes, c._f0, c._f1)]
+    lines += [f"output {oid}" for oid in c.output_ids]
     return "\n".join(lines) + "\n"
 
 
@@ -102,8 +101,8 @@ def loads_netlist(text: str) -> NetlistFile:
             raise ValueError(f"bad spec in header: {e}") from None
         if not isinstance(spec.family, str) or not isinstance(spec.n, int):
             raise ValueError("bad spec in header: family/n types")
-    b = CircuitBuilder(str(header.get("name", "")))
-    outputs = []
+    codes, f0, f1 = array("b"), array("i"), array("i")
+    inputs, outputs = [], []
     for ln, line in enumerate(lines[1:], start=2):
         parts = line.split()
         if not parts:
@@ -119,35 +118,43 @@ def loads_netlist(text: str) -> NetlistFile:
             nid = int(parts[0])
         except ValueError:
             raise ValueError(f"line {ln}: bad node id {parts[0]!r}") from None
-        if nid != len(b):
+        if nid != len(codes):
             raise ValueError(f"line {ln}: node id {nid} out of sequence")
         kind = parts[1] if len(parts) > 1 else ""
-        if kind == "input":
+        code = KIND_CODES.get(kind)
+        if code == 0:
             if len(parts) != 2:
                 raise ValueError(f"line {ln}: input with fanins")
-            b.add_input()
-            continue
-        if kind not in KIND_CODES:
-            raise ValueError(f"line {ln}: unknown gate kind {kind!r}")
-        want = GATE_ARITY[kind]
-        fans = parts[2:]
-        if len(fans) != want:
-            raise ValueError(
-                f"line {ln}: {kind} expects {want} fanins, got {len(fans)}")
-        try:
-            fan_ids = [int(f) for f in fans]
-        except ValueError:
-            raise ValueError(f"line {ln}: bad fanin id") from None
-        for f in fan_ids:
-            if not 0 <= f < nid:
-                raise ValueError(f"line {ln}: fanin {f} not an earlier node")
-        b.add_gate(kind, *fan_ids)
+            inputs.append(nid)
+            a = b = -1
+        else:
+            if code is None:
+                raise ValueError(f"line {ln}: unknown gate kind {kind!r}")
+            want = GATE_ARITY[kind]
+            if len(parts) != want + 2:
+                raise ValueError(f"line {ln}: {kind} expects {want} fanins, "
+                                 f"got {len(parts) - 2}")
+            try:
+                a = int(parts[2])
+                b = int(parts[3]) if want == 2 else -1
+            except ValueError:
+                raise ValueError(f"line {ln}: bad fanin id") from None
+            if not (0 <= a < nid and (want == 1 or 0 <= b < nid)):
+                bad = a if not 0 <= a < nid else b
+                raise ValueError(f"line {ln}: fanin {bad} not an earlier node")
+        codes.append(code)
+        f0.append(a)
+        f1.append(b)
+    output_ids = []
     for oid in outputs:
         try:
-            b.mark_output(int(oid))
+            output_ids.append(int(oid))
         except ValueError:
             raise ValueError(f"bad output id {oid!r}") from None
-    c = b.build()
+        if not 0 <= output_ids[-1] < len(codes):
+            raise ValueError(f"bad output id {oid!r}")
+    c = Circuit(str(header.get("name", "")), codes, f0, f1, tuple(inputs),
+                tuple(output_ids))
     violations = validate(c)
     if violations:
         raise ValueError(f"invalid circuit in netlist: {violations[0]}")
