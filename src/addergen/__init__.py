@@ -13,7 +13,7 @@ from .circuit import (
     Circuit, CircuitBuilder, CircuitError, Metrics, Violation,
     constant_fold, fanout_table, metrics, node_depths, prune_dead, validate,
 )
-from .semantics import VerifyReport, simulate, verify_adder
+from .semantics import VerifyReport, simulate, simulate_packed, verify_adder
 from .prefix import (
     PrefixGraph, brent_kung, expand_to_logic, kogge_stone, serial_prefix,
     sklansky,
@@ -32,7 +32,7 @@ __all__ = [
     "AND", "BUF", "INPUT", "NAND", "NOR", "NOT", "OR", "XOR",
     "Circuit", "CircuitBuilder", "CircuitError", "Metrics", "Violation",
     "constant_fold", "fanout_table", "metrics", "node_depths", "prune_dead",
-    "validate", "VerifyReport", "simulate", "verify_adder",
+    "validate", "VerifyReport", "simulate", "simulate_packed", "verify_adder",
     "PrefixGraph", "brent_kung", "expand_to_logic", "kogge_stone",
     "serial_prefix", "sklansky",
     "build_mig_adder", "choose_params",

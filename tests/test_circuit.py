@@ -226,6 +226,41 @@ class TestViolationRules:
         ]
 
 
+class TestValidateBadReferences:
+    """A bad reference is reported and then counts as no consumer."""
+
+    DANGLING_GATE = ("dangling-gate", 2,
+                     "gate has no consumer and is not an output")
+
+    def test_output_id_past_the_end(self):
+        c = raw_circuit([0, 0, 1], [-1, -1, 0], [-1, -1, 1], (0, 1), (7,))
+        assert found(c) == [("output-range", 7, "output id out of range"),
+                            self.DANGLING_GATE]
+        with pytest.raises(CircuitError, match="output-range@7"):
+            metrics(c)
+
+    def test_fanin_past_the_end(self):
+        c = raw_circuit([0, 0, 1], [-1, -1, 0], [-1, -1, 9], (0, 1), (2,))
+        assert found(c) == [("ordering", 2, "fanin 9 not earlier"),
+                            ("dangling-input", 1, "input drives nothing")]
+        with pytest.raises(CircuitError, match="ordering@2"):
+            metrics(c)
+
+    def test_negative_output_id_hides_no_dangling_gate(self):
+        # -2 must not count as a consumer of node 2, the second to last
+        c = raw_circuit([0, 0, 1, 4], [-1, -1, 0, 0], [-1, -1, 1, -1],
+                        (0, 1), (3, -2))
+        assert found(c) == [("output-range", -2, "output id out of range"),
+                            self.DANGLING_GATE]
+
+    def test_later_fanin_is_no_consumer(self):
+        c = raw_circuit([0, 0, 1, 4], [-1, -1, 0, 1], [-1, -1, 3, -1],
+                        (0, 1), (2,))
+        assert found(c) == [
+            ("ordering", 2, "fanin 3 not earlier"),
+            ("dangling-gate", 3, "gate has no consumer and is not an output")]
+
+
 class TestMetrics:
     def test_tiny_carry_numbers(self):
         m = metrics(tiny_carry2())
