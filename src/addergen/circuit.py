@@ -329,10 +329,10 @@ def prune_dead(c: Circuit) -> Circuit:
         live[nid] = 1
     # survivors keep their relative order, so a survivor's new id is the
     # number of survivors before it; every fanin of a survivor survives
-    remap = list(accumulate(live, initial=0))
+    remap = array("i", accumulate(live, initial=0))
     remap[-1] = -1
-    f0 = array("i", list(map(remap.__getitem__, compress(c._f0, live))))
-    f1 = array("i", list(map(remap.__getitem__, compress(c._f1, live))))
+    f0 = array("i", map(remap.__getitem__, compress(c._f0, live)))
+    f1 = array("i", map(remap.__getitem__, compress(c._f1, live)))
     codes = array("b", bytes(compress(c._codes, live)))
     return Circuit(c.name, codes, f0, f1,
                    tuple(remap[nid] for nid in c.input_ids),
