@@ -248,8 +248,8 @@ def validate(c: Circuit) -> list:
                 out.append(Violation("arity", nid, "input with fanins"))
         else:
             if len(fans) != _ARITY[code]:
-                out.append(Violation("arity", nid,
-                                     f"{KIND_NAMES[code]} has {len(fans)} fanins"))
+                out.append(Violation(
+                    "arity", nid, f"{KIND_NAMES[code]} has {len(fans)} fanins"))
             for f in fans:
                 if not 0 <= f < nid:
                     out.append(Violation("ordering", nid,
@@ -268,9 +268,11 @@ def validate(c: Circuit) -> list:
             out.append(Violation("output-on-input", oid,
                                  "output marker must name a gate"))
         outputs.append(oid)
+    counted = c
     if suspects or len(outputs) != len(c.output_ids):
-        c = Circuit(c.name, codes, f0, f1, c.input_ids, tuple(outputs))
-    for nid in compress(count(), map(not_, c.consumer_counts())):
+        # consumers are counted over the references that passed the checks
+        counted = Circuit(c.name, codes, f0, f1, c.input_ids, tuple(outputs))
+    for nid in compress(count(), map(not_, counted.consumer_counts())):
         if codes[nid] == 0:
             out.append(Violation("dangling-input", nid, "input drives nothing"))
         else:
@@ -298,7 +300,8 @@ def metrics(c: Circuit) -> Metrics:
     depths = node_depths(c)
     codes = c._codes.tobytes()  # one byte per kind code
     # kinds in order of first occurrence, as a node-by-node count lists them
-    firsts = sorted((codes.index(k), k) for k in KIND_NAMES if k and k in codes)
+    firsts = sorted((codes.index(k), k) for k in KIND_NAMES
+                    if k and k in codes)
     return Metrics(
         depth=max(depths) if depths else 0,
         size=c.num_gates,
@@ -330,7 +333,7 @@ def prune_dead(c: Circuit) -> Circuit:
     # survivors keep their relative order, so a survivor's new id is the
     # number of survivors before it; every fanin of a survivor survives
     remap = array("i", accumulate(live, initial=0))
-    remap[-1] = -1
+    remap[-1] = -1  # absent fanins stay -1
     f0 = array("i", map(remap.__getitem__, compress(c._f0, live)))
     f1 = array("i", map(remap.__getitem__, compress(c._f1, live)))
     codes = array("b", bytes(compress(c._codes, live)))
