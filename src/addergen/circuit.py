@@ -174,9 +174,6 @@ class Circuit:
     def kind(self, nid: int) -> str:
         return KIND_NAMES[self._codes[nid]]
 
-    def kind_code(self, nid: int) -> int:
-        return self._codes[nid]
-
     def is_input(self, nid: int) -> bool:
         return self._codes[nid] == 0
 
