@@ -6,11 +6,15 @@ import random
 
 import pytest
 
-from addergen.circuit import AND, BUF, NAND, NOR, NOT, OR, XOR, CircuitBuilder
+from addergen import semantics
+from addergen.circuit import (
+    AND, BUF, NAND, NOR, NOT, OR, XOR, Circuit, CircuitBuilder,
+)
+from addergen.families import AdderSpec, build_adder, build_full_adder
 from addergen.semantics import (
     CHUNK_BITS, VerifyReport, _enumeration_words, bits_to_int, block_signals,
     gp_prepare, int_to_bits, packed_ripple, prefix_op, ripple_carries,
-    simulate, simulate_packed, sum_bits, verify_adder,
+    simulate, simulate_packed, sum_bits, verify_adder, verify_full_adder,
 )
 from tests.test_circuit import tiny_carry2
 
@@ -164,6 +168,39 @@ class TestEnumerationWords:
             seen.add(pat)
         assert len(seen) == 27
         assert all((x, y) != (1, 1) for pat in seen for x, y in pat)
+
+
+def _kind_mutants(c):
+    """Two copies of c, each with one gate's kind swapped (and/or etc.)."""
+    swap = {1: 2, 2: 1, 3: 2, 4: 5, 5: 4, 6: 7, 7: 6}  # kind code -> code
+    gates = [nid for nid, code in enumerate(c._codes) if code]
+    mutants = []
+    for nid in (gates[len(gates) // 2], gates[-1]):
+        codes = c._codes[:]
+        codes[nid] = swap[codes[nid]]
+        mutants.append(Circuit(c.name, codes, c._f0, c._f1, c.input_ids,
+                               c.output_ids))
+    return mutants
+
+
+class TestChunkingKeepsReports:
+    @pytest.mark.parametrize("full", [False, True])
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_exhaustive_reports_equal_at_every_chunk_width(
+            self, monkeypatch, n, full):
+        # phases, counts and the ten lowest-indexed counterexamples do not
+        # depend on how the grid is cut into chunks
+        spec = AdderSpec("ripple", n)
+        c = build_full_adder(spec) if full else build_adder(spec)
+        verify = verify_full_adder if full else verify_adder
+        circuits = [c] + _kind_mutants(c)
+        reference = [verify(x, n, mode="exhaustive") for x in circuits]
+        assert reference[0].ok
+        assert not any(rep.ok for rep in reference[1:])
+        for chunk_bits in (1, 10, 100):
+            monkeypatch.setattr(semantics, "CHUNK_BITS", chunk_bits)
+            assert [verify(x, n, mode="exhaustive")
+                    for x in circuits] == reference
 
 
 class TestVerifyAdder:
