@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import partial
 
 from .circuit import Circuit
 
@@ -148,53 +147,35 @@ def packed_ripple(x_words, y_words, mask):
     return carries
 
 
-def _enumeration_words(n, base, x_digits, y_digits, width, offset):
-    """Input words for lanes offset..offset+width-1 of the base**n grid.
+def _grid_chunks(n, base, x_digits, y_digits):
+    """Input words for the base**n grid, as (offset, width, x_words, y_words).
 
-    Lane t encodes pattern index offset+t; bit position i of the pattern is
-    digit i of that index in the given base.  x_i is 1 on lanes whose digit
-    is in x_digits, likewise y_i.  Positions whose digit pattern is block-
-    periodic across the chunk are packed by replicating one block; the rest
-    fall back to a per-lane loop.
+    Lane t of a chunk encodes pattern index offset+t; bit position i of the
+    pattern is digit i of that index in the given base.  x_i is 1 on lanes
+    whose digit is in x_digits, likewise y_i.  Every chunk is base**j lanes,
+    the largest power of base within CHUNK_BITS and the grid, so chunks
+    start on multiples of base**j: a position i < j has the same periodic
+    word in every chunk, and a position i >= j holds one digit per chunk.
     """
-    words = [None] * n
+    j = 0
+    while j < n and base ** (j + 1) <= CHUNK_BITS:
+        j += 1
+    width = base ** j
     full = (1 << width) - 1
-    for i in range(n):
+
+    def periodic(i, digits):
+        # one block of base runs, base**i lanes per digit, replicated
         period = base ** i
-        if period >= width:
-            lo = offset // period
-            if lo == (offset + width - 1) // period:
-                d = lo % base
-                xw = full if d in x_digits else 0
-                yw = full if d in y_digits else 0
-                words[i] = (xw, yw)
-        elif offset % period == 0:
-            # digits run ..., rot, rot+1, ... cyclically in period-wide runs
-            rot = (offset // period) % base
-            block = period * base
-            seg = (1 << period) - 1
-            bx = by = 0
-            for j in range(base):
-                d = (rot + j) % base
-                if d in x_digits:
-                    bx |= seg << (j * period)
-                if d in y_digits:
-                    by |= seg << (j * period)
-            reps = (width + block - 1) // block
-            comb = ((1 << (reps * block)) - 1) // ((1 << block) - 1)
-            words[i] = ((bx * comb) & full, (by * comb) & full)
-    for i in range(n):
-        if words[i] is None:
-            period = base ** i
-            xw = yw = 0
-            for t in range(width):
-                d = ((offset + t) // period) % base
-                if d in x_digits:
-                    xw |= 1 << t
-                if d in y_digits:
-                    yw |= 1 << t
-            words[i] = (xw, yw)
-    return words
+        block = sum(((1 << period) - 1) << (d * period) for d in digits)
+        return block * (full // ((1 << (period * base)) - 1))
+
+    low_x = [periodic(i, x_digits) for i in range(j)]
+    low_y = [periodic(i, y_digits) for i in range(j)]
+    for offset in range(0, base ** n, width):
+        high = [offset // base ** i % base for i in range(j, n)]
+        yield (offset, width,
+               low_x + [full if d in x_digits else 0 for d in high],
+               low_y + [full if d in y_digits else 0 for d in high])
 
 
 # ---------------------------------------------------------------------------
@@ -262,40 +243,28 @@ def _full_sum_words(a_words, b_words, mask):
     return sums
 
 
-def _run_phase(c, name, word_iter, total, oracle, limit=10):
-    """Simulate total patterns in chunks and compare with the packed oracle.
+def _run_phase(c, name, chunks, oracle, limit=10):
+    """Simulate every chunk and compare with the packed oracle.
 
-    word_iter(width, offset) gives one (first, second) word pair per bit
-    position for lanes offset..offset+width-1; oracle(first_words,
+    chunks yields (offset, width, first_words, second_words) with one word
+    per bit position for lanes offset..offset+width-1; oracle(first_words,
     second_words, mask) gives the expected output words.
     """
     phase = PhaseResult(name, 0, 0)
-    done = 0
-    while done < total:
-        width = min(CHUNK_BITS, total - done)
-        words_xy = word_iter(width, done)
-        x_words = [xy[0] for xy in words_xy]
-        y_words = [xy[1] for xy in words_xy]
-        flat = []
-        for xw, yw in words_xy:
-            flat.append(xw)
-            flat.append(yw)
+    for offset, width, x_words, y_words in chunks:
+        flat = [w for xy in zip(x_words, y_words) for w in xy]
         got = simulate_packed(c, flat, width)
         mask = (1 << width) - 1
         expected = oracle(x_words, y_words, mask)
         diffs = [e ^ g for e, g in zip(expected, got)]
+        phase.mismatches += sum(d.bit_count() for d in diffs)
         bad = 0
         for d in diffs:
             bad |= d
         if bad:
-            for d in diffs:
-                phase.mismatches += bin(d).count("1")
-            if len(phase.counterexamples) < limit:
-                _collect_counterexamples(bad, x_words, y_words, expected,
-                                         got, limit, done,
-                                         phase.counterexamples)
+            _collect_counterexamples(bad, x_words, y_words, expected, got,
+                                     limit, offset, phase.counterexamples)
         phase.patterns += width
-        done += width
     return phase
 
 
@@ -316,18 +285,20 @@ def _verify(c, n, n_outputs, oracle, grids, mode, samples, seed):
     phases = []
     if mode == "exhaustive":
         for name, base, first, second in grids:
-            grid = partial(_enumeration_words, n, base, first, second)
-            phases.append(_run_phase(c, name, grid, base ** n, oracle))
+            chunks = _grid_chunks(n, base, first, second)
+            phases.append(_run_phase(c, name, chunks, oracle))
     elif mode == "random":
         if samples < 1:
             raise ValueError(f"samples must be at least 1, got {samples}")
         rng = random.Random(seed)
 
-        def drawn(width, offset):
-            return [(rng.getrandbits(width), rng.getrandbits(width))
-                    for _ in range(n)]
+        def drawn():
+            for offset in range(0, samples, CHUNK_BITS):
+                width = min(CHUNK_BITS, samples - offset)
+                words = [rng.getrandbits(width) for _ in range(2 * n)]
+                yield offset, width, words[0::2], words[1::2]
 
-        phases.append(_run_phase(c, "random", drawn, samples, oracle))
+        phases.append(_run_phase(c, "random", drawn(), oracle))
     else:
         raise ValueError(f"unknown mode {mode!r}")
     ok = all(p.mismatches == 0 for p in phases)

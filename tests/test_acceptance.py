@@ -21,8 +21,7 @@ from addergen.netlist import dumps_netlist, loads_netlist
 from addergen.prefix import kogge_stone, sklansky
 from addergen.reduction import apply_reduction
 from addergen.semantics import (
-    _enumeration_words, block_signals, prefix_op, simulate_packed,
-    verify_adder,
+    _grid_chunks, block_signals, prefix_op, simulate_packed, verify_adder,
 )
 from addergen.techmap import demorgan_map, levelize
 
@@ -298,11 +297,11 @@ def test_criterion_8_property_suites(acceptance):
 
     # demorgan_map paired-simulation equivalence per mapped instance
     exhaustive = build_adder(AdderSpec("ripple", 4))
-    words = [_enumeration_words(4, 4, {1, 3}, {2, 3}, 256, 0)]
-    flat = [[w for xy in ws for w in xy] for ws in words]
     mapped = demorgan_map(levelize(exhaustive))
-    if not _paired_equivalent(exhaustive, mapped, flat, 256):
-        failures.append("demorgan ripple@4 exhaustive")
+    for _, width, xs, ys in _grid_chunks(4, 4, {1, 3}, {2, 3}):
+        flat = [w for xy in zip(xs, ys) for w in xy]
+        if not _paired_equivalent(exhaustive, mapped, [flat], width):
+            failures.append("demorgan ripple@4 exhaustive")
     rng = random.Random(88)
     for family, n in (("brent-kung", 8), ("mig", 16), ("linear", 64)):
         original = build_adder(AdderSpec(family, n))

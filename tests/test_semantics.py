@@ -12,7 +12,7 @@ from addergen.circuit import (
 )
 from addergen.families import AdderSpec, build_adder, build_full_adder
 from addergen.semantics import (
-    CHUNK_BITS, VerifyReport, _enumeration_words, bits_to_int, block_signals,
+    CHUNK_BITS, VerifyReport, _grid_chunks, bits_to_int, block_signals,
     gp_prepare, int_to_bits, packed_ripple, prefix_op, ripple_carries,
     simulate, simulate_packed, sum_bits, verify_adder, verify_full_adder,
 )
@@ -143,29 +143,36 @@ class TestEnumerationWords:
         (3, {2}, {1}),
         (4, {1, 3}, {2, 3}),
     ])
-    @pytest.mark.parametrize("offset,width", [
-        (0, 1), (0, 17), (5, 7), (32768, 100), (81, 81), (100, 999),
-    ])
-    def test_against_digit_loop(self, base, x_digits, y_digits, offset, width):
+    @pytest.mark.parametrize("chunk_bits", [1, 3, 30, 100, 1000, 1 << 15])
+    def test_against_digit_loop(self, monkeypatch, base, x_digits, y_digits,
+                                chunk_bits):
+        # chunks run contiguously from lane 0 over the whole grid, and every
+        # lane of every chunk holds the digits of its pattern index
+        monkeypatch.setattr(semantics, "CHUNK_BITS", chunk_bits)
         n = 6
-        words = _enumeration_words(n, base, x_digits, y_digits, width, offset)
-        for i in range(n):
-            period = base ** i
-            for t in range(width):
-                d = ((offset + t) // period) % base
-                assert (words[i][0] >> t) & 1 == (1 if d in x_digits else 0)
-                assert (words[i][1] >> t) & 1 == (1 if d in y_digits else 0)
+        end = 0
+        for offset, width, xw, yw in _grid_chunks(n, base, x_digits,
+                                                  y_digits):
+            assert offset == end and 1 <= width <= chunk_bits
+            end += width
+            for i in range(n):
+                assert xw[i] >> width == 0 and yw[i] >> width == 0
+                period = base ** i
+                for t in range(width):
+                    d = ((offset + t) // period) % base
+                    assert (xw[i] >> t) & 1 == (1 if d in x_digits else 0)
+                    assert (yw[i] >> t) & 1 == (1 if d in y_digits else 0)
+        assert end == base ** n
 
     def test_grid_is_complete(self):
         # all 3**n restricted patterns appear exactly once across lanes,
         # and none of them contains the unrealizable pair (x, y) = (1, 1)
         n = 3
-        words = _enumeration_words(n, 3, {2}, {1}, 27, 0)
         seen = set()
-        for t in range(27):
-            pat = tuple(((words[i][0] >> t) & 1, (words[i][1] >> t) & 1)
-                        for i in range(n))
-            seen.add(pat)
+        for _, width, xw, yw in _grid_chunks(n, 3, {2}, {1}):
+            for t in range(width):
+                seen.add(tuple(((xw[i] >> t) & 1, (yw[i] >> t) & 1)
+                               for i in range(n)))
         assert len(seen) == 27
         assert all((x, y) != (1, 1) for pat in seen for x, y in pat)
 
