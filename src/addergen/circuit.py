@@ -16,7 +16,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from itertools import accumulate, compress, count
-from operator import not_
+from operator import and_, not_, or_, xor
 
 INPUT = "input"
 AND = "and"
@@ -339,17 +339,21 @@ def prune_dead(c: Circuit) -> Circuit:
                    tuple(remap[oid] for oid in c.output_ids))
 
 
-# two-input gate -> (absorbing constant, result when absorbed)
-_FOLD2 = {AND: (0, 0), OR: (1, 1), NAND: (0, 1), NOR: (1, 0)}
+# kind code -> value of the gate on fanin bits (one-input gates ignore q)
+_BIT_FUNCS = {1: and_, 2: or_, 3: xor, 4: lambda p, q: p ^ 1,
+              5: lambda p, q: p, 6: lambda p, q: (p & q) ^ 1,
+              7: lambda p, q: (p | q) ^ 1}
 
 
 def constant_fold(c: Circuit, assignment: dict, keep_outputs=None) -> Circuit:
     """Propagate constants bound to some inputs and rebuild the rest.
 
-    assignment maps input ids to 0/1.  Gates touching constants simplify
-    (And with 1 becomes an alias, And with 0 a constant, Xor with 1 a Not,
-    and so on).  keep_outputs selects which original output markers survive;
-    a kept output must not fold to a constant.  Dead logic is pruned.
+    assignment maps input ids to 0/1.  A gate whose inputs are all
+    constant is a constant; a two-input gate with one constant input is,
+    as a function of its live input, a constant, an alias of it, or its
+    Not (And with 1 is an alias, And with 0 a constant, Xor with 1 a Not).
+    keep_outputs selects which original output markers survive; a kept
+    output must not fold to a constant.  Dead logic is pruned.
     """
     for nid in assignment:
         if not c.is_input(nid):
@@ -357,50 +361,27 @@ def constant_fold(c: Circuit, assignment: dict, keep_outputs=None) -> Circuit:
     b = CircuitBuilder(c.name)
     const = {}  # old id -> 0/1
     remap = {}  # old id -> new id
-    for nid in range(len(c)):
-        if c.is_input(nid):
+    for nid, code, x, y in zip(count(), c._codes, c._f0, c._f1):
+        if code == 0:
             if nid in assignment:
                 const[nid] = assignment[nid] & 1
             else:
                 remap[nid] = b.add_input()
             continue
-        kind = c.kind(nid)
-        fans = c.fanins(nid)
-        vals = [const.get(f) for f in fans]
-        if all(v is not None for v in vals):
-            if kind == BUF:
-                const[nid] = vals[0]
-            elif kind == NOT:
-                const[nid] = 1 - vals[0]
-            elif kind == AND:
-                const[nid] = vals[0] & vals[1]
-            elif kind == OR:
-                const[nid] = vals[0] | vals[1]
-            elif kind == XOR:
-                const[nid] = vals[0] ^ vals[1]
-            elif kind == NAND:
-                const[nid] = 1 - (vals[0] & vals[1])
-            else:
-                const[nid] = 1 - (vals[0] | vals[1])
-            continue
-        if len(fans) == 1:
-            remap[nid] = b.add_gate(kind, remap[fans[0]])
-            continue
-        if vals[0] is None and vals[1] is None:
-            remap[nid] = b.add_gate(kind, remap[fans[0]], remap[fans[1]])
-            continue
-        cv = vals[0] if vals[0] is not None else vals[1]
-        live = remap[fans[1] if vals[0] is not None else fans[0]]
-        if kind == XOR:
-            if cv == 0:
-                remap[nid] = live
-            else:
-                remap[nid] = b.add_gate(NOT, live)
-        else:
-            absorb, absorbed = _FOLD2[kind]
-            if cv == absorb:
-                const[nid] = absorbed
-            elif kind in (AND, OR):
+        f = _BIT_FUNCS[code]
+        if x in const and (y < 0 or y in const):  # every input constant
+            const[nid] = f(const[x], const.get(y, 0))
+        elif y < 0:
+            remap[nid] = b.add_gate(KIND_NAMES[code], remap[x])
+        elif x not in const and y not in const:
+            remap[nid] = b.add_gate(KIND_NAMES[code], remap[x], remap[y])
+        else:  # one constant input: call f with the live one at 0 and 1
+            cv, live = ((const[x], remap[y]) if x in const
+                        else (const[y], remap[x]))
+            lo, hi = f(cv, 0), f(cv, 1)
+            if lo == hi:
+                const[nid] = lo
+            elif hi:
                 remap[nid] = live
             else:
                 remap[nid] = b.add_gate(NOT, live)
