@@ -79,7 +79,11 @@ def dumps_netlist(c: Circuit, spec: AdderSpec | None = None,
 
 
 def loads_netlist(text: str) -> NetlistFile:
-    """Parse netlist text; raises ValueError on any malformation."""
+    """Parse netlist text; raises ValueError on any malformation.
+
+    Ids must be canonical ASCII decimal, tokens single-space separated,
+    and the header's input/output names those the circuit implies.
+    """
     lines = text.splitlines()
     if not lines:
         raise ValueError("empty netlist")
@@ -104,9 +108,9 @@ def loads_netlist(text: str) -> NetlistFile:
     codes, f0, f1 = array("b"), array("i"), array("i")
     inputs, outputs = [], []
     for ln, line in enumerate(lines[1:], start=2):
-        parts = line.split()
-        if not parts:
+        if not line:
             raise ValueError(f"line {ln}: blank line")
+        parts = line.split(" ")
         if parts[0] == "output":
             if len(parts) != 2:
                 raise ValueError(f"line {ln}: malformed output record")
@@ -114,12 +118,12 @@ def loads_netlist(text: str) -> NetlistFile:
             continue
         if outputs:
             raise ValueError(f"line {ln}: node record after output records")
-        try:
-            nid = int(parts[0])
-        except ValueError:
-            raise ValueError(f"line {ln}: bad node id {parts[0]!r}") from None
-        if nid != len(codes):
-            raise ValueError(f"line {ln}: node id {nid} out of sequence")
+        nid = len(codes)
+        if parts[0] != str(nid):
+            got = parts[0]
+            if got.isascii() and got.isdigit() and str(int(got)) == got:
+                raise ValueError(f"line {ln}: node id {got} out of sequence")
+            raise ValueError(f"line {ln}: bad node id {got!r}")
         kind = parts[1] if len(parts) > 1 else ""
         code = KIND_CODES.get(kind)
         if code == 0:
@@ -137,6 +141,8 @@ def loads_netlist(text: str) -> NetlistFile:
             try:
                 a = int(parts[2])
                 b = int(parts[3]) if want == 2 else -1
+                if str(a) != parts[2] or want == 2 and str(b) != parts[3]:
+                    raise ValueError
             except ValueError:
                 raise ValueError(f"line {ln}: bad fanin id") from None
             if not (0 <= a < nid and (want == 1 or 0 <= b < nid)):
@@ -147,18 +153,20 @@ def loads_netlist(text: str) -> NetlistFile:
         f1.append(b)
     output_ids = []
     for oid in outputs:
-        try:
-            output_ids.append(int(oid))
-        except ValueError:
-            raise ValueError(f"bad output id {oid!r}") from None
-        if not 0 <= output_ids[-1] < len(codes):
+        nid = int(oid) if oid.isascii() and oid.isdigit() else -1
+        if str(nid) != oid or not 0 <= nid < len(codes):
             raise ValueError(f"bad output id {oid!r}")
+        output_ids.append(nid)
     c = Circuit(str(header.get("name", "")), codes, f0, f1, tuple(inputs),
                 tuple(output_ids))
     violations = validate(c)
     if violations:
         raise ValueError(f"invalid circuit in netlist: {violations[0]}")
-    return NetlistFile(version, spec, bool(header.get("full_adder", False)), c)
+    full_adder = bool(header.get("full_adder", False))
+    names = header.get("inputs"), header.get("outputs")
+    if names != _interface_names(c, full_adder):
+        raise ValueError("header inputs/outputs do not match the circuit")
+    return NetlistFile(version, spec, full_adder, c)
 
 
 def save_netlist(c: Circuit, path, spec: AdderSpec | None = None,

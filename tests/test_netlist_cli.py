@@ -15,6 +15,16 @@ from addergen.netlist import (
 )
 
 
+# non-canonical spellings of a decimal id that int() still accepts
+RESPELLINGS = {
+    "arabic-indic": lambda v: "".join(chr(0x660 + int(d)) for d in v),
+    "fullwidth": lambda v: "".join(chr(0xFF10 + int(d)) for d in v),
+    "plus": lambda v: "+" + v,
+    "leading-zero": lambda v: "0" + v,
+    "underscore": lambda v: "0_" + v,
+}
+
+
 def prefix_gate_circuit():
     """The three-gate combine over one shared input pair."""
     b = CircuitBuilder("prefix-gate")
@@ -102,6 +112,53 @@ class TestNetlistFormat:
         good = dumps_netlist(prefix_gate_circuit())
         with pytest.raises(ValueError, match=message):
             loads_netlist(mangle(good))
+
+    @pytest.mark.parametrize("spell", sorted(RESPELLINGS))
+    @pytest.mark.parametrize("record,line,message", [
+        ("node", "3 and 0 1", "bad node id"),
+        ("fanin", "4 or 1 3", "bad fanin id"),
+        ("output", "output 4", "bad output id"),
+    ])
+    def test_non_canonical_id_rejected(self, record, line, message, spell):
+        # the same integer in another spelling would not survive a save
+        good = dumps_netlist(prefix_gate_circuit())
+        head, _, value = line.rpartition(" ")
+        if record == "node":
+            value, _, tail = line.partition(" ")
+            respelled = f"{RESPELLINGS[spell](value)} {tail}"
+        else:
+            respelled = f"{head} {RESPELLINGS[spell](value)}"
+        assert f"\n{line}\n" in good
+        with pytest.raises(ValueError, match=message):
+            loads_netlist(good.replace(f"\n{line}\n", f"\n{respelled}\n"))
+
+    @pytest.mark.parametrize("line,spaced", [
+        ("3 and 0 1", "3 and  0 1"),
+        ("3 and 0 1", "3  and 0 1"),
+        ("3 and 0 1", "3 and 0 1 "),
+        ("1 input", "1 input "),
+        ("output 4", "output  4"),
+        ("output 4", " output 4"),
+    ])
+    def test_tokens_need_single_spaces(self, line, spaced):
+        good = dumps_netlist(prefix_gate_circuit())
+        with pytest.raises(ValueError):
+            loads_netlist(good.replace(f"\n{line}\n", f"\n{spaced}\n"))
+
+    @pytest.mark.parametrize("field,value", [
+        ("outputs", ["zz"]),
+        ("outputs", ["out1", "out0"]),
+        ("inputs", ["x1", "y1"]),
+        ("inputs", None),
+        ("full_adder", True),
+    ])
+    def test_header_names_must_match_circuit(self, field, value):
+        lines = dumps_netlist(prefix_gate_circuit()).splitlines()
+        header = json.loads(lines[0])
+        header[field] = value
+        lines[0] = json.dumps(header, separators=(",", ":"))
+        with pytest.raises(ValueError, match="header inputs/outputs"):
+            loads_netlist("\n".join(lines) + "\n")
 
     def test_structurally_invalid_circuit_rejected(self):
         header = json.dumps({"format": "addergen-netlist", "version": 1,
