@@ -1,11 +1,14 @@
 """Netlist file format, DOT export, and the command-line front end."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import addergen
 from addergen.circuit import AND, OR, CircuitBuilder
 from addergen.cli import CSV_COLUMNS, ComparisonRow, main
 from addergen.families import AdderSpec, build_adder, build_full_adder
@@ -353,15 +356,20 @@ class TestCliExport:
 
 class TestConsoleEntry:
     def test_module_invocation_round_trip(self, tmp_path):
+        # the child imports the same addergen as this process, installed
+        # or not
+        src = str(Path(addergen.__file__).resolve().parents[1])
+        path = [src, os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
         out = tmp_path / "s4.nl"
         gen = subprocess.run(
             [sys.executable, "-m", "addergen.cli", "gen", "--family",
              "sklansky", "--n", "4", "--out", str(out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert gen.returncode == 0, gen.stderr
         check = subprocess.run(
             [sys.executable, "-m", "addergen.cli", "verify", "--in",
              str(out), "--exhaustive"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert check.returncode == 0, check.stderr
         assert "OK" in check.stdout
