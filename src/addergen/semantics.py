@@ -94,7 +94,8 @@ def simulate_packed(c: Circuit, input_words, width):
     remaining = list(c.consumer_counts())
     values = [None] * n
     for nid, word in zip(c.input_ids, input_words):
-        values[nid] = word & mask
+        # share a word already within width lanes instead of copying it
+        values[nid] = word if 0 <= word <= mask else word & mask
     f0, f1 = c._f0, c._f1
     codes = c._codes
     for nid in range(n):
@@ -137,7 +138,7 @@ def simulate(c: Circuit, assignment: dict) -> dict:
     return dict(zip(c.output_ids, outs))
 
 
-def packed_ripple(x_words, y_words, mask):
+def packed_ripple(x_words, y_words):
     """Packed oracle: carries c_2..c_{n+1} lane-parallel over words."""
     carries = []
     c = 0
@@ -232,11 +233,11 @@ def _collect_counterexamples(any_diff, x_words, y_words, expected, got,
         any_diff &= any_diff - 1
 
 
-def _full_sum_words(a_words, b_words, mask):
+def _full_sum_words(a_words, b_words):
     """Packed oracle: sum bits s_1..s_{n+1} of per-lane integer addition."""
     x_words = [a ^ b for a, b in zip(a_words, b_words)]
     y_words = [a & b for a, b in zip(a_words, b_words)]
-    carries = packed_ripple(x_words, y_words, mask)
+    carries = packed_ripple(x_words, y_words)
     sums = [x_words[0]]
     sums.extend(x ^ c for x, c in zip(x_words[1:], carries))
     sums.append(carries[-1])
@@ -248,23 +249,24 @@ def _run_phase(c, name, chunks, oracle, limit=10):
 
     chunks yields (offset, width, first_words, second_words) with one word
     per bit position for lanes offset..offset+width-1; oracle(first_words,
-    second_words, mask) gives the expected output words.
+    second_words) gives the expected output words.  Only one chunk's words
+    are alive at a time: each is released before the next is drawn.
     """
     phase = PhaseResult(name, 0, 0)
     for offset, width, x_words, y_words in chunks:
-        flat = [w for xy in zip(x_words, y_words) for w in xy]
-        got = simulate_packed(c, flat, width)
-        mask = (1 << width) - 1
-        expected = oracle(x_words, y_words, mask)
-        diffs = [e ^ g for e, g in zip(expected, got)]
-        phase.mismatches += sum(d.bit_count() for d in diffs)
+        got = simulate_packed(
+            c, [w for xy in zip(x_words, y_words) for w in xy], width)
+        expected = oracle(x_words, y_words)
         bad = 0
-        for d in diffs:
+        for e, g in zip(expected, got):
+            d = e ^ g
+            phase.mismatches += d.bit_count()
             bad |= d
         if bad:
             _collect_counterexamples(bad, x_words, y_words, expected, got,
                                      limit, offset, phase.counterexamples)
         phase.patterns += width
+        del x_words, y_words, got, expected
     return phase
 
 
@@ -297,6 +299,7 @@ def _verify(c, n, n_outputs, oracle, grids, mode, samples, seed):
                 width = min(CHUNK_BITS, samples - offset)
                 words = [rng.getrandbits(width) for _ in range(2 * n)]
                 yield offset, width, words[0::2], words[1::2]
+                del words
 
         phases.append(_run_phase(c, "random", drawn(), oracle))
     else:

@@ -130,7 +130,7 @@ class TestPackedSimulation:
         n, width = 6, 37
         xw = [rng.getrandbits(width) for _ in range(n)]
         yw = [rng.getrandbits(width) for _ in range(n)]
-        packed = packed_ripple(xw, yw, (1 << width) - 1)
+        packed = packed_ripple(xw, yw)
         for t in range(width):
             pairs = [((xw[i] >> t) & 1, (yw[i] >> t) & 1) for i in range(n)]
             scalar = ripple_carries(pairs)
