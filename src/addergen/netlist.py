@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from array import array
-from itertools import count
+from itertools import count, islice
 from typing import NamedTuple
 
 from .circuit import Circuit, GATE_ARITY, KIND_CODES, KIND_NAMES, validate
@@ -28,6 +28,8 @@ from .families import AdderSpec
 
 FORMAT_NAME = "addergen-netlist"
 FORMAT_VERSION = 1
+# node lines per block of written text
+_BLOCK = 1 << 16
 
 
 class NetlistFile(NamedTuple):
@@ -56,9 +58,8 @@ def _interface_names(c: Circuit, full_adder: bool):
     return inputs, outputs
 
 
-def dumps_netlist(c: Circuit, spec: AdderSpec | None = None,
-                  full_adder: bool = False) -> str:
-    """Serialize a circuit (plus provenance) to netlist text."""
+def _header_line(c: Circuit, spec: AdderSpec | None, full_adder: bool) -> str:
+    """The JSON header line, without its newline, that a save writes."""
     inputs, outputs = _interface_names(c, full_adder)
     header = {
         "format": FORMAT_NAME,
@@ -69,22 +70,40 @@ def dumps_netlist(c: Circuit, spec: AdderSpec | None = None,
         "inputs": inputs,
         "outputs": outputs,
     }
-    lines = [json.dumps(header, separators=(",", ":"))]
-    lines += [f"{nid} {KIND_NAMES[k]}" if a < 0
-              else f"{nid} {KIND_NAMES[k]} {a}" if b < 0
-              else f"{nid} {KIND_NAMES[k]} {a} {b}"
-              for nid, k, a, b in zip(count(), c._codes, c._f0, c._f1)]
-    lines += [f"output {oid}" for oid in c.output_ids]
-    return "\n".join(lines) + "\n"
+    return json.dumps(header, separators=(",", ":"))
+
+
+def _netlist_blocks(c: Circuit, spec: AdderSpec | None, full_adder: bool):
+    """Netlist text in pieces: the header line, node lines joined _BLOCK
+    at a time, then the output records, so no caller holds one str per
+    node."""
+    yield _header_line(c, spec, full_adder) + "\n"
+    rows = zip(count(), c._codes, c._f0, c._f1)
+    while block := [f"{nid} {KIND_NAMES[k]}\n" if a < 0
+                    else f"{nid} {KIND_NAMES[k]} {a}\n" if b < 0
+                    else f"{nid} {KIND_NAMES[k]} {a} {b}\n"
+                    for nid, k, a, b in islice(rows, _BLOCK)]:
+        yield "".join(block)
+    yield "".join(f"output {oid}\n" for oid in c.output_ids)
+
+
+def dumps_netlist(c: Circuit, spec: AdderSpec | None = None,
+                  full_adder: bool = False) -> str:
+    """Serialize a circuit (plus provenance) to netlist text."""
+    return "".join(_netlist_blocks(c, spec, full_adder))
 
 
 def loads_netlist(text: str) -> NetlistFile:
     """Parse netlist text; raises ValueError on any malformation.
 
-    Ids must be canonical ASCII decimal, tokens single-space separated,
-    and the header's input/output names those the circuit implies.
+    The text must be exactly what a save of the parsed circuit writes:
+    canonical ASCII decimal ids, single spaces between tokens, "\\n" line
+    ends including a final one, and the compact header that the circuit,
+    spec and full-adder flag imply.
     """
-    lines = text.splitlines()
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
     if not lines:
         raise ValueError("empty netlist")
     try:
@@ -166,6 +185,10 @@ def loads_netlist(text: str) -> NetlistFile:
     names = header.get("inputs"), header.get("outputs")
     if names != _interface_names(c, full_adder):
         raise ValueError("header inputs/outputs do not match the circuit")
+    if lines[0] != _header_line(c, spec, full_adder):
+        raise ValueError("header is not the one this circuit saves with")
+    if not text.endswith("\n"):
+        raise ValueError("netlist does not end with a newline")
     return NetlistFile(version, spec, full_adder, c)
 
 
@@ -173,12 +196,12 @@ def save_netlist(c: Circuit, path, spec: AdderSpec | None = None,
                  full_adder: bool = False) -> None:
     """Write a circuit to a netlist file."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps_netlist(c, spec, full_adder))
+        fh.writelines(_netlist_blocks(c, spec, full_adder))
 
 
 def load_netlist(path) -> NetlistFile:
     """Read and parse a netlist file."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         return loads_netlist(fh.read())
 
 

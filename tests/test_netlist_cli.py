@@ -163,6 +163,42 @@ class TestNetlistFormat:
         with pytest.raises(ValueError, match="header inputs/outputs"):
             loads_netlist("\n".join(lines) + "\n")
 
+    @pytest.mark.parametrize("form,message", [
+        ("json-spaces", "header is not"),
+        ("name-not-str", "header is not"),
+        ("spec-defaults-left-out", "header is not"),
+        ("full-adder-zero", "header is not"),
+        ("crlf", r"unknown gate kind 'input\\r'"),
+        ("no-final-newline", "newline"),
+    ])
+    def test_only_the_saved_form_loads(self, tmp_path, form, message):
+        # each form parses to a circuit whose save would not reproduce it
+        spec = AdderSpec("ripple", 2)
+        good = dumps_netlist(build_adder(spec), spec)
+        first, _, rest = good.partition("\n")
+        header = json.loads(first)
+        if form == "json-spaces":
+            first = json.dumps(header)
+        elif form == "name-not-str":
+            first = first.replace('"name":"ripple2"', '"name":5')
+        elif form == "spec-defaults-left-out":
+            first = first.replace(',"r":null,"k":null,"tau":null,"seed":null',
+                                  "")
+        elif form == "full-adder-zero":
+            first = first.replace('"full_adder":false', '"full_adder":0')
+        text = first + "\n" + rest
+        if form == "crlf":
+            text = text.replace("\n", "\r\n")
+        elif form == "no-final-newline":
+            text = text[:-1]
+        assert text != good
+        with pytest.raises(ValueError, match=message):
+            loads_netlist(text)
+        path = tmp_path / "form.nl"
+        path.write_bytes(text.encode())
+        with pytest.raises(ValueError, match=message):
+            load_netlist(path)
+
     def test_structurally_invalid_circuit_rejected(self):
         header = json.dumps({"format": "addergen-netlist", "version": 1,
                              "name": "x", "spec": None, "full_adder": False,

@@ -3,8 +3,8 @@
 Small valid netlists get lines dropped, duplicated or swapped, and tokens
 replaced by integers or junk or an id respelled (the same integer written
 another way int() accepts). loads_netlist must reject the result with
-ValueError or return a circuit that validates and whose text round-trips
-byte for byte; any other exception is a parser bug. A respelled id alone
+ValueError or return a circuit that validates and saves back to the
+input byte for byte; any other exception is a parser bug. A respelled id alone
 must be rejected, since saving the circuit would not reproduce it.
 """
 
@@ -73,6 +73,7 @@ def test_mutated_netlist_is_rejected_or_round_trips(text):
         return
     assert validate(nf.circuit) == []
     again = dumps_netlist(nf.circuit, nf.spec, nf.full_adder)
+    assert again == text
     nf2 = loads_netlist(again)
     assert dumps_netlist(nf2.circuit, nf2.spec, nf2.full_adder) == again
 
