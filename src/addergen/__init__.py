@@ -13,7 +13,10 @@ from .circuit import (
     Circuit, CircuitBuilder, CircuitError, Metrics, Violation,
     constant_fold, fanout_table, metrics, node_depths, prune_dead, validate,
 )
-from .semantics import VerifyReport, simulate, simulate_packed, verify_adder
+from .semantics import (
+    ProofReport, VerifyReport, prove_adder, simulate, simulate_packed,
+    verify_adder,
+)
 from .prefix import (
     PrefixGraph, brent_kung, expand_to_logic, kogge_stone, serial_prefix,
     sklansky,
@@ -22,7 +25,8 @@ from .mig import build_mig_adder, choose_params
 from .reduction import apply_reduction, build_linear_adder
 from .techmap import build_nandnor_adder, demorgan_map, levelize
 from .families import (
-    FAMILIES, AdderSpec, build_adder, build_full_adder, verify_full_adder,
+    FAMILIES, AdderSpec, build_adder, build_full_adder, prove_full_adder,
+    verify_full_adder,
 )
 from .netlist import circuit_to_dot, load_netlist, save_netlist
 
@@ -32,13 +36,14 @@ __all__ = [
     "AND", "BUF", "INPUT", "NAND", "NOR", "NOT", "OR", "XOR",
     "Circuit", "CircuitBuilder", "CircuitError", "Metrics", "Violation",
     "constant_fold", "fanout_table", "metrics", "node_depths", "prune_dead",
-    "validate", "VerifyReport", "simulate", "simulate_packed", "verify_adder",
+    "validate", "ProofReport", "VerifyReport", "prove_adder", "simulate",
+    "simulate_packed", "verify_adder",
     "PrefixGraph", "brent_kung", "expand_to_logic", "kogge_stone",
     "serial_prefix", "sklansky",
     "build_mig_adder", "choose_params",
     "apply_reduction", "build_linear_adder",
     "build_nandnor_adder", "demorgan_map", "levelize",
     "FAMILIES", "AdderSpec", "build_adder", "build_full_adder",
-    "verify_full_adder",
+    "prove_full_adder", "verify_full_adder",
     "circuit_to_dot", "load_netlist", "save_netlist",
 ]

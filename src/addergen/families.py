@@ -16,8 +16,10 @@ one front door:
   y_i = a_i and b_i, and sum outputs s_1..s_{n+1} where s_1 = x_1,
   s_i = x_i xor c_i, and s_{n+1} is the carry-out.
 * verify_full_adder checks a full adder against integer addition with
-  the same report shape verify_adder uses for carry circuits.  It lives
-  in semantics, next to verify_adder, and is re-exported here.
+  the same report shape verify_adder uses for carry circuits, and
+  prove_full_adder proves one as prove_adder proves a carry circuit.
+  Both live in semantics, next to their carry-circuit siblings, and are
+  re-exported here.
 """
 
 from __future__ import annotations
@@ -34,7 +36,9 @@ from .prefix import (
     sklansky,
 )
 from .reduction import build_linear_adder
-from .semantics import verify_full_adder  # noqa: F401  (re-export)
+from .semantics import (  # noqa: F401  (re-export)
+    prove_full_adder, verify_full_adder,
+)
 from .techmap import build_nandnor_adder
 
 

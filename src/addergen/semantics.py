@@ -9,15 +9,18 @@ A carry circuit takes the 2n inputs in the fixed order x_1, y_1, ...,
 x_n, y_n and exposes n outputs c_2, ..., c_{n+1}.  The reference
 implementations here fold over bit lists and integers independently of
 any circuit structure; the verifier simulates a circuit over packed
-multi-pattern words and compares against a packed fold.
+multi-pattern words and compares against a packed fold.  The prover
+labels every gate with the prefix-algebra function it computes and
+checks each output's label, in one pass over the circuit.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import count
 
-from .circuit import Circuit
+from .circuit import KIND_NAMES, Circuit, CircuitError, validate
 
 # ---------------------------------------------------------------------------
 # scalar reference semantics
@@ -198,12 +201,40 @@ class PhaseResult:
     counterexamples: list = field(default_factory=list)
 
 
+@dataclass(frozen=True)
+class ProofReport:
+    """Outcome of labelling a circuit's gates (see prove_adder)."""
+
+    outputs: int
+    proven: int  # outputs carrying exactly their expected label
+    first_unproven: int | None  # index of the lowest output not proven
+    first_unlabelled: tuple | None  # (id, kind, operand labels) of the
+    # lowest gate whose operand pair no rule covers
+
+    @property
+    def ok(self):
+        return self.proven == self.outputs
+
+    def summary(self) -> str:
+        text = f"{self.proven} of {self.outputs} outputs proven"
+        if self.first_unproven is not None:
+            text += f", first unproven output {self.first_unproven}"
+        if self.first_unlabelled is not None:
+            nid, kind, operands = self.first_unlabelled
+            text += (f", first unlabelled gate {nid} "
+                     f"{kind}({', '.join(operands)})")
+        return text
+
+
 @dataclass
 class VerifyReport:
     n: int
     mode: str
     ok: bool
     phases: list
+    # auto mode's proof; kept out of repr, which stays what it was before
+    # there were proofs, and shown by summary()
+    proof: ProofReport | None = field(default=None, repr=False)
 
     @property
     def patterns(self):
@@ -217,6 +248,9 @@ class VerifyReport:
         status = "OK" if self.ok else "MISMATCH"
         parts = ", ".join(f"{p.name}: {p.patterns} patterns, "
                           f"{p.mismatches} mismatches" for p in self.phases)
+        if self.proof is not None:
+            proof = self.proof.summary()
+            parts = f"{parts}; proof: {proof}" if parts else proof
         return f"n={self.n} [{self.mode}] {status} ({parts})"
 
 
@@ -270,20 +304,39 @@ def _run_phase(c, name, chunks, oracle, limit=10):
     return phase
 
 
-def _verify(c, n, n_outputs, oracle, grids, mode, samples, seed):
-    """Interface checks and mode dispatch shared by both verifiers.
-
-    grids lists the exhaustive phases as (name, base, first_digits,
-    second_digits) over the base**n enumeration; random mode draws
-    `samples` uniform patterns from seed instead.
-    """
+def _check_interface(c, n, n_outputs):
+    """Raise CircuitError unless c validates, ValueError unless it has 2n
+    inputs and n_outputs outputs."""
+    violations = validate(c)
+    if violations:
+        raise CircuitError(violations)
     if len(c.input_ids) != 2 * n:
         raise ValueError(f"expected {2 * n} inputs, circuit has {len(c.input_ids)}")
     if len(c.output_ids) != n_outputs:
         raise ValueError(
             f"expected {n_outputs} outputs, circuit has {len(c.output_ids)}")
-    if mode == "auto":
-        mode = "exhaustive" if n <= 10 else "random"
+
+
+def _verify(c, n, n_outputs, oracle, grids, labels, mode, samples, seed):
+    """Interface checks and mode dispatch shared by both verifiers.
+
+    grids lists the exhaustive phases as (name, base, first_digits,
+    second_digits) over the base**n enumeration; random mode draws
+    `samples` uniform patterns from seed instead.  Auto mode sweeps the
+    grids for n <= 10; above that it proves with labels(n), the input and
+    output labels, and samples only if the proof does not cover every
+    output.
+    """
+    _check_interface(c, n, n_outputs)
+    proof = None
+    if mode == "auto" and n <= 10:
+        mode = "exhaustive"
+    elif mode == "auto":
+        proof = _prove(c, *labels(n))
+        if proof.ok:
+            return VerifyReport(n=n, mode="proof", ok=True, phases=[],
+                                proof=proof)
+        mode = "random"
     phases = []
     if mode == "exhaustive":
         for name, base, first, second in grids:
@@ -305,21 +358,25 @@ def _verify(c, n, n_outputs, oracle, grids, mode, samples, seed):
     else:
         raise ValueError(f"unknown mode {mode!r}")
     ok = all(p.mismatches == 0 for p in phases)
-    return VerifyReport(n=n, mode=mode, ok=ok, phases=phases)
+    return VerifyReport(n=n, mode=mode, ok=ok, phases=phases, proof=proof)
 
 
 def verify_adder(c: Circuit, n: int, mode: str = "auto",
                  samples: int = 100_000, seed: int = 0xC0FFEE) -> VerifyReport:
     """Check that a carry circuit matches the serial recurrence.
 
-    Exhaustive mode sweeps two grids: the restricted domain where each bit
-    position takes (x, y) in {(0,0),(0,1),(1,0)} — all pairs realizable from
-    summand bits — and the unrestricted 4**n grid over arbitrary (x, y).
-    Random mode draws uniform unrestricted patterns.  Auto picks exhaustive
-    for n <= 10 and random otherwise.
+    The circuit must validate (CircuitError otherwise).  Exhaustive mode
+    sweeps two grids: the restricted domain where each bit position takes
+    (x, y) in {(0,0),(0,1),(1,0)} — all pairs realizable from summand
+    bits — and the unrestricted 4**n grid over arbitrary (x, y).  Random
+    mode draws uniform unrestricted patterns.  Auto picks exhaustive for
+    n <= 10; above that it proves the circuit (report mode "proof") and
+    falls back to random mode, its report naming where the proof stopped,
+    only when the proof does not cover every output.
     """
     grids = (("restricted", 3, {2}, {1}), ("unrestricted", 4, {1, 3}, {2, 3}))
-    return _verify(c, n, n, packed_ripple, grids, mode, samples, seed)
+    return _verify(c, n, n, packed_ripple, grids, _carry_labels, mode,
+                   samples, seed)
 
 
 def verify_full_adder(c: Circuit, n: int, mode: str = "auto",
@@ -328,7 +385,171 @@ def verify_full_adder(c: Circuit, n: int, mode: str = "auto",
     """Check a full adder against integer addition.
 
     Exhaustive mode sweeps all 4**n summand-bit patterns; random mode
-    draws uniform summands.  Auto picks exhaustive for n <= 10.
+    draws uniform summands.  Auto picks exhaustive for n <= 10 and, above
+    that, a proof with the random fallback verify_adder describes.
     """
     grids = (("summands", 4, {1, 3}, {2, 3}),)
-    return _verify(c, n, n + 1, _full_sum_words, grids, mode, samples, seed)
+    return _verify(c, n, n + 1, _full_sum_words, grids, _full_labels, mode,
+                   samples, seed)
+
+
+# ---------------------------------------------------------------------------
+# proof by prefix labels
+#
+# Each gate gets a label naming the function it computes, plus a polarity
+# bit (1 where the gate computes the label's complement).  Over the carry
+# inputs x_i, y_i the labels are
+#   ("X", s, t)     x_s and ... and x_t
+#   ("G", a, b, t)  the or over j = a..b of y_j and x_{j+1} and ... and x_t,
+#                   so G(1, i, i) is the carry c_{i+1}
+#   ("K", x, g)     x and g, for an X label x and a G label g that do not
+#                   merge; g or K(x, g) is g
+# and over the summand inputs of a full adder
+#   ("A", i), ("B", i)  the bits a_i, b_i; a_i xor b_i is X(i, i) and
+#                   a_i and b_i is G(i, i, i)
+#   ("S", i)        x_i xor c_i, the sum bit s_i.
+# Every rule is a Boolean identity, so a label is always the exact function
+# of its gate; a gate whose operand pair no rule covers stays unlabelled.
+
+# kind code -> whether the gate meets (ands) operands of true polarity;
+# with both operands inverted it joins them instead (De Morgan)
+_MEETS = {1: 1, 2: 0, 6: 1, 7: 0}
+
+
+def _touch(s1, t1, s2, t2):
+    """Whether intervals [s1, t1] and [s2, t2] overlap or are adjacent."""
+    return s1 <= t2 + 1 and s2 <= t1 + 1
+
+
+def _meet(p, q):
+    """Label of p and q, or None where no rule covers the pair."""
+    if q[0] == "X":
+        p, q = q, p
+    if p[0] == "X":
+        if q[0] == "X":
+            if _touch(p[1], p[2], q[1], q[2]):
+                return ("X", min(p[1], q[1]), max(p[2], q[2]))
+        elif q[0] == "G":
+            # each y_j x_{j+1..v} of q, j <= b, takes x_{u..t} into one
+            # window when b < u <= v + 1
+            if q[2] < p[1] <= q[3] + 1:
+                return ("G", q[1], q[2], max(q[3], p[2]))
+            return ("K", p, q)
+    elif p[0] + q[0] in ("AB", "BA") and p[1] == q[1]:
+        return ("G", p[1], p[1], p[1])
+    return None
+
+
+def _join(p, q):
+    """Label of p or q, or None where no rule covers the pair."""
+    if p[0] == "G" and q[0] == "G":
+        if p[3] == q[3] and _touch(p[1], p[2], q[1], q[2]):
+            return ("G", min(p[1], q[1]), max(p[2], q[2]), p[3])
+    elif q[0] == "K" and q[2] == p:
+        return p
+    elif p[0] == "K" and p[2] == q:
+        return q
+    return None
+
+
+def _xor(p, q):
+    """Label of p xor q, or None where no rule covers the pair."""
+    if p[0] + q[0] in ("AB", "BA") and p[1] == q[1]:
+        return ("X", p[1], p[1])
+    if q[0] == "X":
+        p, q = q, p
+    if p[0] == "X" and p[1] == p[2] and q == ("G", 1, p[1] - 1, p[1] - 1):
+        return ("S", p[1])
+    return None
+
+
+def _show(label, inverted=0):
+    """A label as text, e.g. G(1,4,4), with ~ in front where inverted."""
+    args = ",".join(_show(a) if isinstance(a, tuple) else str(a)
+                    for a in label[1:])
+    return f"{'~' if inverted else ''}{label[0]}({args})"
+
+
+def _prove(c, input_labels, expected):
+    """Label every gate in id order and check the outputs against expected.
+
+    input_labels aligns with c.input_ids and expected with c.output_ids;
+    an output is proven when it carries its expected label uninverted.
+    """
+    lab = [None] * len(c)
+    neg = bytearray(len(c))
+    for nid, label in zip(c.input_ids, input_labels):
+        lab[nid] = label
+    first = None
+    for nid, code, a, b in zip(count(), c._codes, c._f0, c._f1):
+        if code == 5 or code == 4:  # buf, not
+            lab[nid] = lab[a]
+            neg[nid] = neg[a] ^ (code == 4)
+            continue
+        if code == 0:
+            continue
+        p = lab[a]
+        q = lab[b]
+        if p is None or q is None:
+            continue
+        s = neg[a]
+        if code == 3:
+            label = _xor(p, q)
+            s ^= neg[b]
+        elif s != neg[b]:
+            label = None
+        else:
+            label = (_meet if _MEETS[code] ^ s else _join)(p, q)
+            s ^= code > 5
+        if label is None:
+            if first is None:
+                first = (nid, KIND_NAMES[code],
+                         (_show(p, neg[a]), _show(q, neg[b])))
+            continue
+        lab[nid] = label
+        neg[nid] = s
+    proven = 0
+    first_out = None
+    for i, oid, want in zip(count(), c.output_ids, expected):
+        if lab[oid] == want and not neg[oid]:
+            proven += 1
+        elif first_out is None:
+            first_out = i
+    return ProofReport(len(expected), proven, first_out, first)
+
+
+def _carry_labels(n):
+    """Input labels x_1, y_1, ..., x_n, y_n and output labels c_2..c_{n+1}
+    of a carry circuit."""
+    ins = [lbl for i in range(1, n + 1) for lbl in (("X", i, i),
+                                                    ("G", i, i, i))]
+    return ins, [("G", 1, i, i) for i in range(1, n + 1)]
+
+
+def _full_labels(n):
+    """Input labels a_1, b_1, ..., a_n, b_n and output labels s_1..s_{n+1}
+    of a full adder."""
+    ins = [lbl for i in range(1, n + 1) for lbl in (("A", i), ("B", i))]
+    outs = [("X", 1, 1)] + [("S", i) for i in range(2, n + 1)]
+    return ins, outs + [("G", 1, n, n)]
+
+
+def prove_adder(c: Circuit, n: int) -> ProofReport:
+    """Prove a carry circuit by labelling its gates, in linear time.
+
+    Each gate's label is the prefix-algebra function it computes (see the
+    comment above _MEETS); output i is proven when it carries G(1, i, i),
+    the carry c_{i+1}.  A proof is exact; an output left unproven may
+    still be correct, since the rules cover only the prefix forms the
+    families build.  The circuit must validate (CircuitError otherwise).
+    """
+    _check_interface(c, n, n)
+    return _prove(c, *_carry_labels(n))
+
+
+def prove_full_adder(c: Circuit, n: int) -> ProofReport:
+    """Prove a full adder as prove_adder proves a carry circuit: its
+    outputs must carry x_1, then the sum labels S(2)..S(n), then the
+    carry-out G(1, n, n)."""
+    _check_interface(c, n, n + 1)
+    return _prove(c, *_full_labels(n))

@@ -143,8 +143,16 @@ class TestFullAdder:
     @pytest.mark.parametrize("family", ["mig", "linear", "nandnor"])
     def test_random_medium(self, family):
         c = build_full_adder(AdderSpec(family, 33))
-        report = verify_full_adder(c, 33, samples=20_000, seed=3)
+        report = verify_full_adder(c, 33, mode="random", samples=20_000,
+                                   seed=3)
         assert report.mode == "random" and report.ok
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_auto_medium_is_a_proof(self, family):
+        c = build_full_adder(AdderSpec(family, 33))
+        report = verify_full_adder(c, 33, samples=20_000, seed=3)
+        assert report.mode == "proof" and report.ok
+        assert report.phases == [] and report.proof.proven == 34
 
     @pytest.mark.parametrize("samples", [0, -5])
     def test_random_mode_needs_a_sample(self, samples):
