@@ -20,7 +20,7 @@ from .circuit import metrics
 from .families import (
     FAMILIES, AdderSpec, build_adder, build_full_adder, verify_full_adder,
 )
-from .netlist import circuit_to_dot, load_netlist, save_netlist
+from .netlist import _dot_blocks, load_netlist, save_netlist
 from .semantics import verify_adder
 
 DEFAULT_SAMPLES = 100_000
@@ -209,14 +209,9 @@ def cmd_export(args) -> int:
     if nf is None:
         return 2
     try:
-        text = circuit_to_dot(nf.circuit)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    try:
         with open(args.dot, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    except OSError as e:
+            fh.writelines(_dot_blocks(nf.circuit))
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     print(f"{args.dot}: {len(nf.circuit)} nodes")

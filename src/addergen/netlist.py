@@ -205,6 +205,30 @@ def load_netlist(path) -> NetlistFile:
         return loads_netlist(fh.read())
 
 
+def _dot_blocks(c: Circuit, graph_name: str | None = None):
+    """DOT text in pieces: the graph header, node lines and then edge
+    lines each joined _BLOCK nodes at a time, and the closing brace."""
+    if c.num_gates == 0:
+        raise ValueError("circuit has no gates to export")
+    name = graph_name if graph_name is not None else (c.name or "circuit")
+    safe = name.replace("\\", "\\\\").replace('"', '\\"')
+    yield f'digraph "{safe}" {{\n  rankdir=LR;\n'
+    out_set = set(c.output_ids)
+    nodes = zip(count(), c._codes)
+    while block := [f'  n{nid} [label="{KIND_NAMES[k]}:{nid}"'
+                    f'{", shape=box" if k == 0 else ""}'
+                    f'{", peripheries=2" if nid in out_set else ""}];\n'
+                    for nid, k in islice(nodes, _BLOCK)]:
+        yield "".join(block)
+    edges = zip(count(), c._f0, c._f1)
+    while block := ["" if a < 0
+                    else f"  n{a} -> n{nid};\n" if b < 0
+                    else f"  n{a} -> n{nid};\n  n{b} -> n{nid};\n"
+                    for nid, a, b in islice(edges, _BLOCK)]:
+        yield "".join(block)
+    yield "}\n"
+
+
 def circuit_to_dot(c: Circuit, graph_name: str | None = None) -> str:
     """Render a circuit as deterministic DOT text.
 
@@ -212,21 +236,4 @@ def circuit_to_dot(c: Circuit, graph_name: str | None = None) -> str:
     outputs double-bordered) and one edge per fanin, both in id order.
     Circuits without gates are rejected.
     """
-    if c.num_gates == 0:
-        raise ValueError("circuit has no gates to export")
-    name = graph_name if graph_name is not None else (c.name or "circuit")
-    safe = name.replace("\\", "\\\\").replace('"', '\\"')
-    out_set = set(c.output_ids)
-    lines = [f'digraph "{safe}" {{', "  rankdir=LR;"]
-    for nid in range(len(c)):
-        attrs = [f'label="{c.kind(nid)}:{nid}"']
-        if c.is_input(nid):
-            attrs.append("shape=box")
-        if nid in out_set:
-            attrs.append("peripheries=2")
-        lines.append(f"  n{nid} [{', '.join(attrs)}];")
-    for nid in range(len(c)):
-        for f in c.fanins(nid):
-            lines.append(f"  n{f} -> n{nid};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "".join(_dot_blocks(c, graph_name))

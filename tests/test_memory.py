@@ -1,8 +1,9 @@
 """Transient memory of verification and of netlist text, under tracemalloc.
 
 Verification keeps one chunk of packed words alive at a time, so its peak
-does not grow with the sample count; netlist text is produced in blocks of
-node lines, so writing it holds at most one block of per-line strings.
+does not grow with the sample count; netlist and DOT text are produced in
+blocks of node lines, so writing them holds at most one block of per-line
+strings.
 """
 
 import hashlib
@@ -14,10 +15,10 @@ import pytest
 
 from addergen import netlist
 from addergen.circuit import Circuit, KIND_CODES
-from addergen.families import AdderSpec, build_adder
+from addergen.families import AdderSpec, build_adder, build_full_adder
 from addergen.netlist import (
-    FORMAT_NAME, FORMAT_VERSION, _interface_names, dumps_netlist,
-    save_netlist,
+    FORMAT_NAME, FORMAT_VERSION, _interface_names, circuit_to_dot,
+    dumps_netlist, save_netlist,
 )
 from addergen.semantics import CHUNK_BITS, verify_adder
 from tests.test_golden import GOLDEN, digest
@@ -51,6 +52,45 @@ def test_dumps_peak_is_text_plus_blocks(monkeypatch):
     assert len(c) > 20 * netlist._BLOCK
     peak, text = traced_peak(lambda: dumps_netlist(c))
     assert peak <= 2.5 * len(text)
+
+
+def test_dot_peak_is_text_plus_blocks(monkeypatch, tmp_path):
+    monkeypatch.setattr(netlist, "_BLOCK", 1000)
+    c = build_adder(AdderSpec("kogge-stone", 1024))
+    assert len(c) > 20 * netlist._BLOCK
+    peak, text = traced_peak(lambda: circuit_to_dot(c))
+    assert peak <= 2.5 * len(text)
+
+    def write():
+        path = tmp_path / "c.dot"
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(netlist._dot_blocks(c))
+        return path
+
+    peak, path = traced_peak(write)
+    assert path.read_text(encoding="utf-8") == text
+    assert peak <= 0.25 * len(text)
+
+
+# sha256 of DOT text written before it was produced in blocks
+DOT_GOLDEN = {
+    ("kogge-stone", 16, False):
+        "6a76aff4f72d9925b7b1046d5da01d6870d1287c195f03281758eea5c6d03521",
+    ("mig", 16, False):
+        "5dfb2372f0e1444ab0da40582a095a4c51c51b4c5fe5a2bfb7900d3da4347c0c",
+    ("ripple", 5, True):
+        "fd2e0ef5ec68da5d00f960cbd2b1443ce861ad5ae9e02d82cc2c9f8fdd36fb50",
+}
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7, netlist._BLOCK])
+def test_dot_is_the_same_at_every_block_size(monkeypatch, block):
+    monkeypatch.setattr(netlist, "_BLOCK", block)
+    for (family, n, full), want in DOT_GOLDEN.items():
+        spec = AdderSpec(family, n)
+        c = build_full_adder(spec) if full else build_adder(spec)
+        text = circuit_to_dot(c)
+        assert hashlib.sha256(text.encode()).hexdigest() == want
 
 
 def chain_circuit(size):
