@@ -14,8 +14,7 @@ from .circuit import (
     constant_fold, fanout_table, metrics, node_depths, prune_dead, validate,
 )
 from .semantics import (
-    ProofReport, VerifyReport, prove_adder, simulate, simulate_packed,
-    verify_adder,
+    VerifyReport, prove_adder, simulate, simulate_packed, verify_adder,
 )
 from .prefix import (
     PrefixGraph, brent_kung, expand_to_logic, kogge_stone, serial_prefix,
@@ -36,8 +35,8 @@ __all__ = [
     "AND", "BUF", "INPUT", "NAND", "NOR", "NOT", "OR", "XOR",
     "Circuit", "CircuitBuilder", "CircuitError", "Metrics", "Violation",
     "constant_fold", "fanout_table", "metrics", "node_depths", "prune_dead",
-    "validate", "ProofReport", "VerifyReport", "prove_adder", "simulate",
-    "simulate_packed", "verify_adder",
+    "validate", "VerifyReport", "prove_adder", "simulate", "simulate_packed",
+    "verify_adder",
     "PrefixGraph", "brent_kung", "expand_to_logic", "kogge_stone",
     "serial_prefix", "sklansky",
     "build_mig_adder", "choose_params",

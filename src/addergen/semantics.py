@@ -232,8 +232,9 @@ class VerifyReport:
     mode: str
     ok: bool
     phases: list
-    # auto mode's proof; kept out of repr, which stays what it was before
-    # there were proofs, and shown by summary()
+    # auto mode's proof, shown by summary(); left out of repr so that the
+    # repr of a seeded sampled or exhaustive report depends only on its
+    # phases
     proof: ProofReport | None = field(default=None, repr=False)
 
     @property
