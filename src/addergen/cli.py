@@ -211,7 +211,7 @@ def cmd_export(args) -> int:
     try:
         with open(args.dot, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(_dot_blocks(nf.circuit))
-    except (OSError, ValueError) as e:
+    except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     print(f"{args.dot}: {len(nf.circuit)} nodes")
