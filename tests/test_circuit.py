@@ -7,7 +7,7 @@ from functools import partial
 import pytest
 
 from addergen.circuit import (
-    AND, BUF, NOT, OR, XOR,
+    AND, BUF, NAND, NOR, NOT, OR, XOR,
     Circuit, CircuitBuilder, CircuitError, FanoutChain,
     constant_fold, fanout_table, lsb_carry, metrics, node_depths,
     prune_dead, validate,
@@ -366,6 +366,37 @@ class TestConstantFold:
         b.mark_output(g)
         with pytest.raises(ValueError):
             constant_fold(b.build(), {x0: 0, x1: 1})
+
+    @pytest.mark.parametrize("kind,absorbing,value", [
+        (AND, 0, 0), (NAND, 0, 1), (OR, 1, 1), (NOR, 1, 0)])
+    def test_one_absorbing_input_folds_to_constant(self, kind, absorbing,
+                                                   value):
+        b = CircuitBuilder()
+        x0, x1, x2 = b.add_input(), b.add_input(), b.add_input()
+        g = b.add_gate(kind, x0, x1)
+        b.mark_output(b.add_gate(XOR, g, x2))
+        f = constant_fold(b.build(), {x1: absorbing})
+        # the Xor sees g as the constant: an alias of x2 or its Not;
+        # x0 is left dangling
+        assert f.num_gates == 1
+        assert f.kind(f.output_ids[0]) == (NOT if value else BUF)
+        for p in range(4):
+            bits = {f.input_ids[0]: p & 1, f.input_ids[1]: p >> 1}
+            assert simulate(f, bits)[f.output_ids[0]] == (p >> 1) ^ value
+
+    @pytest.mark.parametrize("kind,absorbing", [
+        (AND, 0), (NAND, 0), (OR, 1), (NOR, 1)])
+    def test_kept_output_on_absorbed_gate_raises(self, kind, absorbing):
+        b = CircuitBuilder()
+        x0, x1 = b.add_input(), b.add_input()
+        b.mark_output(b.add_gate(kind, x0, x1))
+        with pytest.raises(ValueError, match="folded to constant"):
+            constant_fold(b.build(), {x1: absorbing})
+
+    def test_assignment_to_gate_raises(self):
+        c, _, (g2, _) = self._fold_target()
+        with pytest.raises(ValueError, match="is not an input"):
+            constant_fold(c, {g2: 0})
 
     def test_alias_output_gets_buffer(self):
         b = CircuitBuilder()

@@ -1,5 +1,6 @@
 """Netlist file format, DOT export, and the command-line front end."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -10,8 +11,11 @@ import pytest
 
 import addergen
 from addergen.circuit import AND, OR, CircuitBuilder
+from addergen import cli
 from addergen.cli import CSV_COLUMNS, ComparisonRow, main
-from addergen.families import AdderSpec, build_adder, build_full_adder
+from addergen.families import (
+    AdderSpec, build_adder, build_full_adder, verify_full_adder,
+)
 from addergen.netlist import (
     FORMAT_VERSION, circuit_to_dot, dumps_netlist, load_netlist,
     loads_netlist, save_netlist,
@@ -110,11 +114,24 @@ class TestNetlistFormat:
         (lambda t: t.replace("3 and 0 1", "3 and 0 4"), "earlier"),
         (lambda t: t.replace("output 2", "output two"), "output"),
         (lambda t: t + "5 and 0 1\n", "after output"),
+        (lambda t: t.replace("\n3 and", "\n\n3 and"), "line 5: blank line"),
     ])
     def test_malformed_inputs_rejected(self, mangle, message):
         good = dumps_netlist(prefix_gate_circuit())
         with pytest.raises(ValueError, match=message):
             loads_netlist(mangle(good))
+
+    @pytest.mark.parametrize("old,new,message", [
+        ('"seed":null', '"seed":null,"bogus":1', "bad spec in header"),
+        ('"n":2,', "", "bad spec in header"),
+        ('"family":"ripple"', '"family":5', "bad spec in header: family/n"),
+    ])
+    def test_bad_spec_rejected(self, old, new, message):
+        spec = AdderSpec("ripple", 2)
+        good = dumps_netlist(build_adder(spec), spec)
+        assert old in good
+        with pytest.raises(ValueError, match=message):
+            loads_netlist(good.replace(old, new, 1))
 
     @pytest.mark.parametrize("spell", sorted(RESPELLINGS))
     @pytest.mark.parametrize("record,line,message", [
@@ -302,6 +319,27 @@ class TestCliGenVerify:
         assert "MISMATCH" in printed
         assert "counterexample #" in printed
 
+    def test_counterexamples_stop_at_ten(self, tmp_path, capsys):
+        out = tmp_path / "r4.nl"
+        assert main(["gen", "--family", "ripple", "--n", "4",
+                     "--out", str(out)]) == 0
+        out.write_text(out.read_text().replace(" or ", " and ", 1))
+        capsys.readouterr()
+        assert main(["verify", "--in", str(out), "--exhaustive"]) == 1
+        printed = capsys.readouterr().out.splitlines()
+        assert "MISMATCH" in printed[0]
+        assert int(printed[0].split("patterns, ")[1].split()[0]) > 10
+        assert len(printed) == 11
+        assert all(line.startswith("counterexample #")
+                   for line in printed[1:])
+
+    def test_verifier_defaults_are_the_cli_defaults(self):
+        # the benchmark passes cli.DEFAULT_SAMPLES as "the CLI defaults"
+        for verify in (cli.verify_adder, verify_full_adder):
+            params = inspect.signature(verify).parameters
+            assert params["samples"].default == cli.DEFAULT_SAMPLES
+            assert params["seed"].default == cli.DEFAULT_SEED
+
     def test_unparseable_netlist_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.nl"
         bad.write_text('{"format":"addergen-netlist",broken\n')
@@ -316,6 +354,24 @@ class TestCliGenVerify:
         assert main(["gen", "--family", "mig", "--n", "8", "--tau", "1",
                      "--out", str(tmp_path / "x.nl")]) == 2
         assert "does not take" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["gen", "compare", "export"])
+    def test_unwritable_output_exits_2(self, tmp_path, command, capsys):
+        nl = tmp_path / "r2.nl"
+        assert main(["gen", "--family", "ripple", "--n", "2",
+                     "--out", str(nl)]) == 0
+        capsys.readouterr()
+        target = str(tmp_path / "missing" / "out")
+        argv = {
+            "gen": ["gen", "--family", "ripple", "--n", "2", "--out", target],
+            "compare": ["compare", "--families", "ripple", "--n", "2",
+                        "--out", target],
+            "export": ["export", "--in", str(nl), "--dot", target],
+        }[command]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
 
     def test_usage_errors_exit_2(self, tmp_path):
         with pytest.raises(SystemExit) as e:
@@ -356,6 +412,12 @@ class TestCliCompare:
     def test_bad_width_list_exits_2(self, capsys):
         assert main(["compare", "--families", "ripple", "--n", "2,x"]) == 2
         assert "width" in capsys.readouterr().err
+
+    def test_empty_family_list_exits_2(self, capsys):
+        assert main(["compare", "--families", ",", "--n", "2"]) == 2
+        captured = capsys.readouterr()
+        assert "error: need at least one family" in captured.err
+        assert captured.out == ""
 
     def test_unknown_family_exits_2(self, capsys):
         assert main(["compare", "--families", "ripple,nope", "--n", "2"]) == 2
