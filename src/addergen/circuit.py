@@ -307,12 +307,6 @@ def metrics(c: Circuit) -> Metrics:
     )
 
 
-def fanout_table(c: Circuit) -> dict:
-    """Map of node id -> consumer count, output markers included."""
-    counts = c.consumer_counts()
-    return {nid: counts[nid] for nid in range(len(c))}
-
-
 def prune_dead(c: Circuit) -> Circuit:
     """Drop gates that cannot reach an output marker; inputs always survive."""
     n = len(c)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from itertools import islice
 from typing import NamedTuple
 
 from .circuit import metrics
@@ -21,10 +22,7 @@ from .families import (
     FAMILIES, AdderSpec, build_adder, build_full_adder, verify_full_adder,
 )
 from .netlist import _dot_blocks, load_netlist, save_netlist
-from .semantics import verify_adder
-
-DEFAULT_SAMPLES = 100_000
-DEFAULT_SEED = 0xC0FFEE
+from .semantics import DEFAULT_SAMPLES, DEFAULT_SEED, verify_adder
 
 
 class ComparisonRow(NamedTuple):
@@ -38,7 +36,7 @@ class ComparisonRow(NamedTuple):
     verified: bool
 
 
-CSV_COLUMNS = ["family", "n", "depth", "size", "max_fanout", "verified"]
+CSV_COLUMNS = list(ComparisonRow._fields)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -90,16 +88,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def cmd_gen(args) -> int:
     spec = AdderSpec(family=args.family, n=args.n, r=args.r, k=args.k,
                      tau=args.tau)
-    try:
-        c = build_full_adder(spec) if args.full_adder else build_adder(spec)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    try:
-        save_netlist(c, args.out, spec=spec, full_adder=args.full_adder)
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    c = build_full_adder(spec) if args.full_adder else build_adder(spec)
+    save_netlist(c, args.out, spec=spec, full_adder=args.full_adder)
     m = metrics(c)
     kind = "full adder" if args.full_adder else "carry circuit"
     print(f"{args.out}: {spec.family} n={spec.n} {kind} "
@@ -107,18 +97,8 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _load(path):
-    try:
-        return load_netlist(path)
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return None
-
-
 def cmd_verify(args) -> int:
-    nf = _load(args.infile)
-    if nf is None:
-        return 2
+    nf = load_netlist(args.infile)
     c = nf.circuit
     if nf.full_adder:
         n = nf.spec.n if nf.spec else len(c.output_ids) - 1
@@ -132,24 +112,17 @@ def cmd_verify(args) -> int:
         mode, samples = "random", args.samples
     else:
         mode, samples = "auto", DEFAULT_SAMPLES
-    try:
-        report = checker(c, n, mode=mode, samples=samples, seed=args.seed)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    print(f"{args.infile}: {report.summary()} seed={args.seed:#x}")
-    if report.ok:
-        return 0
-    shown = 0
-    for phase in report.phases:
-        for ce in phase.counterexamples:
-            pairs = " ".join(f"({a},{b})" for a, b in ce.pairs)
-            print(f"counterexample #{ce.index} [{phase.name}]: "
-                  f"inputs {pairs} expected {ce.expected} got {ce.got}")
-            shown += 1
-            if shown >= 10:
-                return 1
-    return 1
+    report = checker(c, n, mode=mode, samples=samples, seed=args.seed)
+    # only a sampled report, auto's fallback included, drew from the seed
+    seed = f" seed={args.seed:#x}" if report.mode == "random" else ""
+    print(f"{args.infile}: {report.summary()}{seed}")
+    shown = ((phase, ce) for phase in report.phases
+             for ce in phase.counterexamples)
+    for phase, ce in islice(shown, 10):
+        pairs = " ".join(f"({a},{b})" for a, b in ce.pairs)
+        print(f"counterexample #{ce.index} [{phase.name}]: "
+              f"inputs {pairs} expected {ce.expected} got {ce.got}")
+    return 0 if report.ok else 1
 
 
 def compare_rows(families, widths):
@@ -160,8 +133,7 @@ def compare_rows(families, widths):
             spec = AdderSpec(family=family, n=n)
             c = build_adder(spec)
             m = metrics(c)
-            ok = verify_adder(c, n, mode="auto", samples=DEFAULT_SAMPLES,
-                              seed=DEFAULT_SEED).ok
+            ok = verify_adder(c, n).ok
             rows.append(ComparisonRow(family, n, m.depth, m.size,
                                       m.max_fanout, ok))
     return rows
@@ -172,17 +144,10 @@ def cmd_compare(args) -> int:
     try:
         widths = [int(s) for s in args.n.split(",") if s.strip()]
     except ValueError:
-        print(f"error: bad width list {args.n!r}", file=sys.stderr)
-        return 2
+        raise ValueError(f"bad width list {args.n!r}") from None
     if not families or not widths:
-        print("error: need at least one family and one width",
-              file=sys.stderr)
-        return 2
-    try:
-        rows = compare_rows(families, widths)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        raise ValueError("need at least one family and one width")
+    rows = compare_rows(families, widths)
 
     def emit(fh):
         w = csv.writer(fh, lineterminator="\n")
@@ -192,12 +157,8 @@ def cmd_compare(args) -> int:
                         row.max_fanout, str(row.verified).lower()])
 
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                emit(fh)
-        except OSError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            emit(fh)
         print(f"{args.out}: {len(rows)} rows")
     else:
         emit(sys.stdout)
@@ -205,22 +166,20 @@ def cmd_compare(args) -> int:
 
 
 def cmd_export(args) -> int:
-    nf = _load(args.infile)
-    if nf is None:
-        return 2
-    try:
-        with open(args.dot, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(_dot_blocks(nf.circuit))
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    nf = load_netlist(args.infile)
+    with open(args.dot, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(_dot_blocks(nf.circuit))
     print(f"{args.dot}: {len(nf.circuit)} nodes")
     return 0
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

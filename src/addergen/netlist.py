@@ -205,13 +205,12 @@ def load_netlist(path) -> NetlistFile:
         return loads_netlist(fh.read())
 
 
-def _dot_blocks(c: Circuit, graph_name: str | None = None):
+def _dot_blocks(c: Circuit):
     """DOT text in pieces: the graph header, node lines and then edge
     lines each joined _BLOCK nodes at a time, and the closing brace."""
     if c.num_gates == 0:
         raise ValueError("circuit has no gates to export")
-    name = graph_name if graph_name is not None else (c.name or "circuit")
-    safe = name.replace("\\", "\\\\").replace('"', '\\"')
+    safe = (c.name or "circuit").replace("\\", "\\\\").replace('"', '\\"')
     yield f'digraph "{safe}" {{\n  rankdir=LR;\n'
     out_set = set(c.output_ids)
     nodes = zip(count(), c._codes)
@@ -229,11 +228,11 @@ def _dot_blocks(c: Circuit, graph_name: str | None = None):
     yield "}\n"
 
 
-def circuit_to_dot(c: Circuit, graph_name: str | None = None) -> str:
+def circuit_to_dot(c: Circuit) -> str:
     """Render a circuit as deterministic DOT text.
 
     One graph node per circuit node labeled kind:id (inputs boxed,
     outputs double-bordered) and one edge per fanin, both in id order.
     Circuits without gates are rejected.
     """
-    return "".join(_dot_blocks(c, graph_name))
+    return "".join(_dot_blocks(c))

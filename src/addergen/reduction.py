@@ -82,23 +82,25 @@ def _carry_demand(m: int, n: int, tau: int) -> int:
     return count
 
 
-def _reduction_carries(b: CircuitBuilder, pairs, tau: int, inner_fn,
-                       style=None):
-    """Emit the reduction wrapper onto a builder; returns carry node ids
-    c_2..c_{n+1} in position order.
+def apply_reduction(n: int, tau: int, inner_fn, style=None, name=""):
+    """Carry circuit over n positions: tau halving steps around inner_fn.
 
     inner_fn(b, coarse_pairs) must return one carry token per coarse
     position, lowest first, with the lowest already safe to consume (the
     cores here terminate it through an absorbing form themselves).
+
+    The result is returned unpruned; wrappers add no dead gates of their
+    own, but an inner core may carry dead scaffolding worth removing.
+    With tau = 0 this is exactly the inner core plus output markers.
     """
     style = style or OrAndStyle()
-    n = len(pairs)
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     if n % (1 << tau):
         raise ValueError(f"width {n} not divisible by 2**{tau}")
+    b = CircuitBuilder(name or f"reduced{n}-t{tau}")
 
-    levels = [list(pairs)]
+    levels = [[(b.add_input(), b.add_input()) for _ in range(n)]]
     for _ in range(tau):
         prev = levels[-1]
         levels.append([style.combine(b, prev[2 * i + 1], prev[2 * i])
@@ -127,20 +129,8 @@ def _reduction_carries(b: CircuitBuilder, pairs, tau: int, inner_fn,
             chains[j << s] = style.chain(b, token,
                                          _carry_demand(j << s, n, tau))
 
-    return [style.finalize(b, chains[m].next()) for m in range(1, n + 1)]
-
-
-def apply_reduction(n: int, tau: int, inner_fn, style=None, name=""):
-    """Carry circuit over n positions: tau halving steps around inner_fn.
-
-    The result is returned unpruned; wrappers add no dead gates of their
-    own, but an inner core may carry dead scaffolding worth removing.
-    With tau = 0 this is exactly the inner core plus output markers.
-    """
-    b = CircuitBuilder(name or f"reduced{n}-t{tau}")
-    pairs = [(b.add_input(), b.add_input()) for _ in range(n)]
-    for cid in _reduction_carries(b, pairs, tau, inner_fn, style=style):
-        b.mark_output(cid)
+    for m in range(1, n + 1):
+        b.mark_output(style.finalize(b, chains[m].next()))
     return b.build()
 
 

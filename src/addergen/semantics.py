@@ -318,6 +318,11 @@ def _check_interface(c, n, n_outputs):
             f"expected {n_outputs} outputs, circuit has {len(c.output_ids)}")
 
 
+# random mode's pattern count and seed when the caller names none
+DEFAULT_SAMPLES = 100_000
+DEFAULT_SEED = 0xC0FFEE
+
+
 def _verify(c, n, n_outputs, oracle, grids, labels, mode, samples, seed):
     """Interface checks and mode dispatch shared by both verifiers.
 
@@ -363,7 +368,8 @@ def _verify(c, n, n_outputs, oracle, grids, labels, mode, samples, seed):
 
 
 def verify_adder(c: Circuit, n: int, mode: str = "auto",
-                 samples: int = 100_000, seed: int = 0xC0FFEE) -> VerifyReport:
+                 samples: int = DEFAULT_SAMPLES,
+                 seed: int = DEFAULT_SEED) -> VerifyReport:
     """Check that a carry circuit matches the serial recurrence.
 
     The circuit must validate (CircuitError otherwise).  Exhaustive mode
@@ -381,8 +387,8 @@ def verify_adder(c: Circuit, n: int, mode: str = "auto",
 
 
 def verify_full_adder(c: Circuit, n: int, mode: str = "auto",
-                      samples: int = 100_000,
-                      seed: int = 0xC0FFEE) -> VerifyReport:
+                      samples: int = DEFAULT_SAMPLES,
+                      seed: int = DEFAULT_SEED) -> VerifyReport:
     """Check a full adder against integer addition.
 
     Exhaustive mode sweeps all 4**n summand-bit patterns; random mode

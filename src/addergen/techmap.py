@@ -63,10 +63,6 @@ class LevelizedCircuit:
     circuit: Circuit
     levels: tuple
 
-    @property
-    def depth(self) -> int:
-        return max(self.levels) if self.levels else 0
-
 
 def levelize(c: Circuit, input_rows=None) -> LevelizedCircuit:
     """Equivalent circuit with unit-span wires (see module docstring).
@@ -136,17 +132,13 @@ _ODD_ROW = {AND: NAND, OR: NOR, BUF: NOT}
 _EVEN_ROW = {AND: NOR, OR: NAND, BUF: NOT}
 
 
-def _demorgan(lc: LevelizedCircuit, normalize: bool = True, name: str = ""):
+def _demorgan(lc: LevelizedCircuit):
     """Map a levelized AND/OR/BUF circuit onto {NAND, NOR, NOT}.
 
     Returns (circuit, parities): parities[i] is True where output i is
-    delivered inverted.  With normalize=True an inverter is appended to
-    every odd-row output so each parity is False.  Inputs sitting on
-    odd rows are expected in inverted form.
-
-    The mapping only relabels gate kinds, so the result shares the
-    wiring of lc.circuit; normalizing copies it (inputs first, as
-    levelize places them) to append the inverters.
+    delivered inverted.  Inputs sitting on odd rows are expected in
+    inverted form.  The mapping only relabels gate kinds, so the result
+    shares the wiring of lc.circuit.
     """
     c = lc.circuit
     codes = array("b", c._codes)
@@ -159,22 +151,22 @@ def _demorgan(lc: LevelizedCircuit, normalize: bool = True, name: str = ""):
             raise ValueError(
                 f"cannot map {c.kind(nid)!r} gates; expected and/or/buf")
         codes[nid] = KIND_CODES[kind]
-    mapped = Circuit(name or c.name, codes, c._f0, c._f1,
-                     c.input_ids, c.output_ids)
-    parities = tuple(bool(lc.levels[oid] % 2) for oid in c.output_ids)
-    if not normalize:
-        return mapped, parities
+    mapped = Circuit(c.name, codes, c._f0, c._f1, c.input_ids, c.output_ids)
+    return mapped, tuple(bool(lc.levels[oid] % 2) for oid in c.output_ids)
+
+
+def demorgan_map(lc: LevelizedCircuit) -> Circuit:
+    """Inverting-gate equivalent of a levelized circuit, outputs true.
+
+    The relabelled circuit is copied (inputs first, as levelize places
+    them) and an inverter is appended to every odd-row output.
+    """
+    mapped, parities = _demorgan(lc)
     b = CircuitBuilder(mapped.name)
     remap = b.inline(mapped, [b.add_input() for _ in mapped.input_ids])
     for oid, inverted in zip(mapped.output_ids, parities):
         b.mark_output(b.add_gate(NOT, remap[oid]) if inverted else remap[oid])
-    return b.build(), (False,) * len(parities)
-
-
-def demorgan_map(lc: LevelizedCircuit, name: str = "") -> Circuit:
-    """Inverting-gate equivalent of a levelized circuit, outputs true."""
-    mapped, _ = _demorgan(lc, normalize=True, name=name)
-    return mapped
+    return b.build()
 
 
 def _signal(x):
@@ -272,8 +264,7 @@ def build_nandnor_adder(n: int) -> Circuit:
     # odd, matching odd-row polarity), generates at depth 2*tau
     skew = [tau if i % 2 == 0 else 2 * tau
             for i in range(len(core.input_ids))]
-    mapped, parities = _demorgan(levelize(core, input_rows=skew),
-                                 normalize=False)
+    mapped, parities = _demorgan(levelize(core, input_rows=skew))
 
     def inner(b, coarse_pairs):
         leaves = []

@@ -9,7 +9,7 @@ import pytest
 from addergen.circuit import (
     AND, BUF, NAND, NOR, NOT, OR, XOR,
     Circuit, CircuitBuilder, CircuitError, FanoutChain,
-    constant_fold, fanout_table, lsb_carry, metrics, node_depths,
+    constant_fold, lsb_carry, metrics, node_depths,
     prune_dead, validate,
 )
 from addergen.semantics import simulate
@@ -278,7 +278,7 @@ class TestMetrics:
 
     def test_fanout_counts_markers(self):
         c = tiny_carry2()
-        table = fanout_table(c)
+        table = c.consumer_counts()
         # c2 feeds the And gate and carries an output marker
         c2 = c.output_ids[0]
         assert table[c2] == 2
@@ -438,7 +438,7 @@ class TestFanoutChain:
             b.mark_output(s)
         c = b.build()
         assert validate(c) == []
-        assert max(fanout_table(c).values()) <= 2
+        assert max(c.consumer_counts()) <= 2
         assert chain.links == max(0, total - 2)
 
     def test_direct_when_capacity_suffices(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from addergen.circuit import fanout_table, metrics, validate
+from addergen.circuit import metrics, validate
 from addergen.families import (
     FAMILIES, AdderSpec, build_adder, build_full_adder, verify_full_adder,
 )
@@ -172,7 +172,7 @@ class TestFullAdder:
     def test_summand_inputs_feed_two_gates_each(self):
         for family in ("ripple", "nandnor"):
             c = build_full_adder(AdderSpec(family, 8))
-            table = fanout_table(c)
+            table = c.consumer_counts()
             assert all(table[i] == 2 for i in c.input_ids), family
 
     def test_sum_stage_histogram(self):

@@ -40,7 +40,7 @@ def digest(key: str) -> str:
         lc = levelize(build_adder(AdderSpec(parts[1], int(parts[2]))))
         if parts[0] == "demorgan":
             return _sha(dumps_netlist(demorgan_map(lc)))
-        mapped, parities = _demorgan(lc, normalize=False)
+        mapped, parities = _demorgan(lc)
         return _sha(dumps_netlist(mapped) + repr(parities))
     family, n, shape = parts[0], int(parts[1]), parts[2]
     spec = AdderSpec(family, n)

@@ -285,6 +285,21 @@ class TestCliGenVerify:
                      "--seed", "7"]) == 0
         assert "seed=0x7" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("family,n,flags,mode", [
+        ("linear", "64", [], "[proof]"),
+        ("ripple", "4", ["--exhaustive"], "[exhaustive]"),
+    ])
+    def test_unsampled_report_names_no_seed(self, tmp_path, capsys, family,
+                                            n, flags, mode):
+        out = tmp_path / "a.nl"
+        assert main(["gen", "--family", family, "--n", n,
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--in", str(out)] + flags) == 0
+        printed = capsys.readouterr().out
+        assert mode in printed
+        assert "seed=" not in printed
+
     @pytest.mark.parametrize("full", [False, True])
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_verify_without_samples_exits_2(self, tmp_path, capsys, samples,

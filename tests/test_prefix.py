@@ -3,7 +3,7 @@ classical shapes, structural invariants, and expansion to verified logic."""
 
 import pytest
 
-from addergen.circuit import fanout_table, metrics, validate
+from addergen.circuit import metrics, validate
 from addergen.prefix import (
     OP, PAIR, REDUCED, REPEATER, PrefixGraph,
     brent_kung, expand_to_logic, kogge_stone, serial_prefix, sklansky,
@@ -149,7 +149,7 @@ class TestExpansion:
     @pytest.mark.parametrize("family", sorted(BUILDERS))
     def test_lowest_propagate_has_consumer(self, family):
         c = expand_to_logic(BUILDERS[family](8))
-        table = fanout_table(c)
+        table = c.consumer_counts()
         x1 = c.input_ids[0]
         assert table[x1] == 1
 
