@@ -153,7 +153,7 @@ class Circuit:
     """Immutable view of a built circuit."""
 
     __slots__ = ("name", "_codes", "_f0", "_f1", "input_ids", "output_ids",
-                 "_consumers")
+                 "_consumers", "_violations")
 
     def __init__(self, name, codes, f0, f1, input_ids, output_ids):
         self.name = name
@@ -163,6 +163,7 @@ class Circuit:
         self.input_ids = input_ids
         self.output_ids = output_ids
         self._consumers = None
+        self._violations = None
 
     def __len__(self):
         return len(self._codes)
@@ -200,6 +201,14 @@ class Circuit:
             del counts[-1]
             self._consumers = counts
         return self._consumers
+
+    def check(self):
+        """Raise CircuitError unless the circuit validates; the walk runs
+        once per circuit and its violations are kept."""
+        if self._violations is None:
+            self._violations = validate(self)
+        if self._violations:
+            raise CircuitError(self._violations)
 
 
 @dataclass(frozen=True)
@@ -291,9 +300,7 @@ def node_depths(c: Circuit) -> list:
 
 def metrics(c: Circuit) -> Metrics:
     """Depth, size, max fan-out, and gate histogram of a valid circuit."""
-    violations = validate(c)
-    if violations:
-        raise CircuitError(violations)
+    c.check()
     depths = node_depths(c)
     codes = c._codes.tobytes()  # one byte per kind code
     # kinds in order of first occurrence, as a node-by-node count lists them
@@ -402,20 +409,46 @@ def lsb_carry(b: CircuitBuilder, x1: int, ysrc: int) -> int:
     return b.add_gate(OR, y, both)
 
 
-class FanoutChain:
+class Pool:
+    """Duplicate copies of one value, each dispensed a bounded number of
+    times so that no copy ever exceeds fan-out two."""
+
+    __slots__ = ("_items", "_takes", "_used")
+
+    def __init__(self, items, takes_per_item=2):
+        self._items = list(items)
+        self._takes = takes_per_item
+        self._used = 0
+
+    def take(self):
+        idx = self._used // self._takes
+        if idx >= len(self._items):
+            raise ValueError("pool exhausted: demand exceeded capacity")
+        self._used += 1
+        return self._items[idx]
+
+    @property
+    def remaining(self) -> int:
+        return len(self._items) * self._takes - self._used
+
+
+class FanoutChain(Pool):
     """Serve many consumers from one value while keeping fan-out at two.
 
     The source usually has spare fan-out capacity below the number of
     pending requests; the gap is bridged with a chain of repeaters, each
     passing the value along while serving one consumer (the final link
-    serves two).  Callers must request outlets in consumption order so the
-    earliest consumer lands closest to the source.
+    serves two).  The chain is a pool of its outlets, one take each, in
+    consumption order, so the earliest consumer lands closest to the
+    source.
 
     The chain works on any DAG under construction: `used` is the number
     of consumers the source already has, and `link(prev)` appends one
     repeater reading prev and returns it — a buffer or inverter gate on a
     CircuitBuilder, a repeater node on a prefix graph.
     """
+
+    __slots__ = ("links",)
 
     def __init__(self, source, used: int, total: int, link):
         free = max(0, 2 - used)
@@ -434,10 +467,4 @@ class FanoutChain:
                 cur = link(cur)
                 outlets.append(cur)
             outlets.append(cur)
-        self._outlets = outlets
-        self._pos = 0
-
-    def next(self):
-        nid = self._outlets[self._pos]
-        self._pos += 1
-        return nid
+        super().__init__(outlets, takes_per_item=1)

@@ -57,7 +57,6 @@ class AdderSpec(NamedTuple):
 
 
 class Family(NamedTuple):
-    name: str
     build: Callable  # (n, spec) -> Circuit, n already in native domain
     native: Callable  # n -> bool: buildable directly at this width?
     takes: frozenset  # optional AdderSpec parameters the family accepts
@@ -73,38 +72,31 @@ def _next_pow2(n: int) -> int:
 
 FAMILIES = {
     "ripple": Family(
-        "ripple",
         lambda n, spec: expand_to_logic(serial_prefix(n), name=f"ripple{n}"),
         lambda n: n >= 1,
         frozenset()),
     "sklansky": Family(
-        "sklansky",
         lambda n, spec: expand_to_logic(sklansky(n), name=f"sklansky{n}"),
         _is_pow2,
         frozenset()),
     "kogge-stone": Family(
-        "kogge-stone",
         lambda n, spec: expand_to_logic(kogge_stone(n),
                                         name=f"kogge-stone{n}"),
         _is_pow2,
         frozenset()),
     "brent-kung": Family(
-        "brent-kung",
         lambda n, spec: expand_to_logic(brent_kung(n), name=f"brent-kung{n}"),
         _is_pow2,
         frozenset()),
     "mig": Family(
-        "mig",
         lambda n, spec: build_mig_adder(n, spec.r, spec.k),
         lambda n: n >= 1,
         frozenset({"r", "k"})),
     "linear": Family(
-        "linear",
         lambda n, spec: build_linear_adder(n, tau=spec.tau),
         _is_pow2,
         frozenset({"tau"})),
     "nandnor": Family(
-        "nandnor",
         lambda n, spec: build_nandnor_adder(n),
         _is_pow2,
         frozenset()),
@@ -121,7 +113,7 @@ def _check_spec(spec: AdderSpec) -> Family:
     for param in ("r", "k", "tau"):
         if getattr(spec, param) is not None and param not in fam.takes:
             raise ValueError(
-                f"family {fam.name!r} does not take parameter {param!r}")
+                f"family {spec.family!r} does not take parameter {param!r}")
     return fam
 
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .circuit import AND, BUF, OR, CircuitBuilder, lsb_carry, prune_dead
+from .circuit import AND, BUF, OR, CircuitBuilder, Pool, lsb_carry, prune_dead
 
 
 class MigParams(NamedTuple):
@@ -51,29 +51,6 @@ def choose_params(n: int) -> MigParams:
     ld = (n - 1).bit_length()
     side = 1 if ld <= 1 else math.isqrt(ld - 1) + 1
     return MigParams(side, side, 1 << (side * side))
-
-
-class Pool:
-    """Duplicate copies of one value, each dispensed a bounded number of
-    times so that no copy ever exceeds fan-out two."""
-
-    __slots__ = ("_items", "_takes", "_used")
-
-    def __init__(self, items, takes_per_item=2):
-        self._items = list(items)
-        self._takes = takes_per_item
-        self._used = 0
-
-    def take(self) -> int:
-        idx = self._used // self._takes
-        if idx >= len(self._items):
-            raise ValueError("pool exhausted: demand exceeded capacity")
-        self._used += 1
-        return self._items[idx]
-
-    @property
-    def remaining(self) -> int:
-        return len(self._items) * self._takes - self._used
 
 
 def _replicate(b: CircuitBuilder, src: int, leaves: int, rooted: bool):

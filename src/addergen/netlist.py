@@ -23,7 +23,7 @@ from array import array
 from itertools import count, islice
 from typing import NamedTuple
 
-from .circuit import Circuit, GATE_ARITY, KIND_CODES, KIND_NAMES, validate
+from .circuit import Circuit, CircuitError, GATE_ARITY, KIND_CODES, KIND_NAMES
 from .families import AdderSpec
 
 FORMAT_NAME = "addergen-netlist"
@@ -178,9 +178,11 @@ def loads_netlist(text: str) -> NetlistFile:
         output_ids.append(nid)
     c = Circuit(str(header.get("name", "")), codes, f0, f1, tuple(inputs),
                 tuple(output_ids))
-    violations = validate(c)
-    if violations:
-        raise ValueError(f"invalid circuit in netlist: {violations[0]}")
+    try:
+        c.check()
+    except CircuitError as e:
+        raise ValueError(
+            f"invalid circuit in netlist: {e.violations[0]}") from None
     full_adder = bool(header.get("full_adder", False))
     names = header.get("inputs"), header.get("outputs")
     if names != _interface_names(c, full_adder):

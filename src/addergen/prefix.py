@@ -219,7 +219,7 @@ def brent_kung(n) -> PrefixGraph:
         stride = 1 << s
         for j in range(3, n // stride + 1, 2):
             m = j * stride
-            P[m] = g.op(levels[s][j - 1], chains[m - stride].next(),
+            P[m] = g.op(levels[s][j - 1], chains[m - stride].take(),
                         reduced=True)
             if s >= 1:
                 chains[m] = chain(m)
@@ -227,7 +227,7 @@ def brent_kung(n) -> PrefixGraph:
         if m == 1:
             g.set_output(1, P[1])
         elif m % 2 == 0:
-            g.set_output(m, chains[m].next())
+            g.set_output(m, chains[m].take())
         else:
             g.set_output(m, P[m])
     return g

@@ -125,12 +125,12 @@ def apply_reduction(n: int, tau: int, inner_fn, style=None, name=""):
         chains[stride] = style.chain(b, low, _carry_demand(stride, n, tau))
         for j in range(3, (n >> s) + 1, 2):
             x, y = level[j - 1]
-            token = style.correction(b, x, y, chains[(j - 1) << s].next())
+            token = style.correction(b, x, y, chains[(j - 1) << s].take())
             chains[j << s] = style.chain(b, token,
                                          _carry_demand(j << s, n, tau))
 
     for m in range(1, n + 1):
-        b.mark_output(style.finalize(b, chains[m].next()))
+        b.mark_output(style.finalize(b, chains[m].take()))
     return b.build()
 
 

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import count
 
-from .circuit import KIND_NAMES, Circuit, CircuitError, validate
+from .circuit import KIND_NAMES, Circuit
 
 # ---------------------------------------------------------------------------
 # scalar reference semantics
@@ -308,9 +308,7 @@ def _run_phase(c, name, chunks, oracle, limit=10):
 def _check_interface(c, n, n_outputs):
     """Raise CircuitError unless c validates, ValueError unless it has 2n
     inputs and n_outputs outputs."""
-    violations = validate(c)
-    if violations:
-        raise CircuitError(violations)
+    c.check()
     if len(c.input_ids) != 2 * n:
         raise ValueError(f"expected {2 * n} inputs, circuit has {len(c.input_ids)}")
     if len(c.output_ids) != n_outputs:

@@ -174,28 +174,6 @@ def _signal(x):
     return x if isinstance(x, tuple) else (x, False)
 
 
-class _NotChain:
-    """Fan-out chain over inverters; outlets carry their polarity."""
-
-    __slots__ = ("_chain", "_inverted")
-
-    def __init__(self, b: CircuitBuilder, token, total: int):
-        node, neg = token
-        inverted = {node: neg}
-
-        def link(prev):
-            nid = b.add_gate(NOT, prev)
-            inverted[nid] = not inverted[prev]
-            return nid
-
-        self._chain = FanoutChain(node, b.uses[node], total, link)
-        self._inverted = inverted
-
-    def next(self):
-        nid = self._chain.next()
-        return nid, self._inverted[nid]
-
-
 class NandNorStyle:
     """Carry-reduction vocabulary over {NAND, NOR, NOT}.
 
@@ -235,7 +213,9 @@ class NandNorStyle:
             NAND, b.add_gate(NAND, xtrue, cn), b.add_gate(NOT, y)), False
 
     def chain(self, b: CircuitBuilder, token, total):
-        return _NotChain(b, token, total)
+        """Fan-out chain over inverters; outlets carry their polarity."""
+        return FanoutChain(token, b.uses[token[0]], total,
+                           lambda t: (b.add_gate(NOT, t[0]), not t[1]))
 
     def lift(self, b: CircuitBuilder, node):
         return node, False

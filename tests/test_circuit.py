@@ -12,7 +12,10 @@ from addergen.circuit import (
     constant_fold, lsb_carry, metrics, node_depths,
     prune_dead, validate,
 )
-from addergen.semantics import simulate
+from addergen import circuit, netlist, semantics
+from addergen.cli import compare_rows
+from addergen.families import AdderSpec, build_adder
+from addergen.semantics import simulate, verify_adder
 
 
 def tiny_carry2():
@@ -67,6 +70,13 @@ class TestBuilder:
         assert b.fanout(i0) == 2
         b.mark_output(g)
         assert b.fanout(g) == 1
+
+    @pytest.mark.parametrize("nid", [1, -1])
+    def test_mark_output_out_of_range(self, nid):
+        b = CircuitBuilder()
+        b.add_input()
+        with pytest.raises(ValueError, match=f"^output id {nid} out of range$"):
+            b.mark_output(nid)
 
     def test_inline_binds_inputs_to_leaves(self):
         core = tiny_carry2()
@@ -139,6 +149,46 @@ class TestValidate:
         b.add_input()
         with pytest.raises(CircuitError):
             metrics(b.build())
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """Circuits passed to `validate`, wherever a module holds that name."""
+    calls = []
+
+    def counted(c):
+        calls.append(c)
+        return validate(c)
+
+    for mod in (circuit, netlist, semantics):
+        monkeypatch.setattr(mod, "validate", counted, raising=False)
+    return calls
+
+
+class TestCheck:
+    """Circuit.check walks each circuit once, however many callers ask."""
+
+    def test_invalid_circuit_raises_every_time(self, walks):
+        b = CircuitBuilder()
+        b.add_input()
+        c = b.build()
+        for _ in range(2):
+            with pytest.raises(CircuitError, match="no-gates@-1"):
+                c.check()
+        assert walks == [c]
+
+    def test_loaded_netlist_is_walked_once(self, walks):
+        spec = AdderSpec("linear", 64)
+        text = netlist.dumps_netlist(build_adder(spec), spec)
+        assert walks == []
+        c = netlist.loads_netlist(text).circuit
+        assert verify_adder(c, 64).ok
+        assert walks == [c]
+
+    def test_compare_rows_walks_each_circuit_once(self, walks):
+        rows = compare_rows(["ripple"], [12])
+        assert [r.verified for r in rows] == [True]
+        assert len(walks) == 1
 
 
 def raw_circuit(codes, f0, f1, inputs, outputs):
@@ -423,7 +473,7 @@ class TestFanoutChain:
     def _consume(self, b, chain, count):
         sinks = []
         for _ in range(count):
-            sinks.append(b.add_gate(NOT, chain.next()))
+            sinks.append(b.add_gate(NOT, chain.take()))
         return sinks
 
     @pytest.mark.parametrize("total", [1, 2, 3, 5, 9])
@@ -446,7 +496,7 @@ class TestFanoutChain:
         i0 = b.add_input()
         src = b.add_gate(BUF, i0)
         chain = buf_chain(b, src, 2)
-        assert chain.next() == src and chain.next() == src
+        assert chain.take() == src and chain.take() == src
         assert chain.links == 0
 
     def test_earliest_consumer_closest(self):
@@ -454,11 +504,22 @@ class TestFanoutChain:
         i0 = b.add_input()
         src = b.add_gate(BUF, i0)
         chain = buf_chain(b, src, 4)
-        outlets = [chain.next() for _ in range(4)]
+        outlets = [chain.take() for _ in range(4)]
         # first outlet is the source itself, later ones sit deeper
         assert outlets[0] == src
         assert outlets[1] > src and outlets[2] > outlets[1]
         assert outlets[3] == outlets[2]  # final link serves two consumers
+
+    @pytest.mark.parametrize("total", [1, 2, 3, 5])
+    def test_drawing_past_demand_raises(self, total):
+        b = CircuitBuilder()
+        i0 = b.add_input()
+        src = b.add_gate(BUF, i0)
+        chain = buf_chain(b, src, total)
+        for _ in range(total):
+            chain.take()
+        with pytest.raises(ValueError, match="pool exhausted"):
+            chain.take()
 
     def test_no_free_slot_raises(self):
         b = CircuitBuilder()

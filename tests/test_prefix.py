@@ -19,6 +19,10 @@ BUILDERS = {
 
 
 class TestGraphBasics:
+    def test_needs_a_position(self):
+        with pytest.raises(ValueError, match="^need at least one position$"):
+            PrefixGraph(0)
+
     def test_op_requires_adjacent_ranges(self):
         g = PrefixGraph(4)
         with pytest.raises(ValueError):
@@ -152,6 +156,19 @@ class TestExpansion:
         table = c.consumer_counts()
         x1 = c.input_ids[0]
         assert table[x1] == 1
+
+    def test_repeater_as_upper_operand_keeps_its_x(self):
+        # no built-in shape puts a repeater above a live combine, so none
+        # needs the repeater's x component
+        g = PrefixGraph(2)
+        r = g.repeater(g.pairs[1])
+        g.set_output(1, g.pairs[0])
+        g.set_output(2, g.op(r, g.pairs[0]))
+        c = expand_to_logic(g)
+        assert validate(c) == []
+        m = metrics(c)
+        assert (m.size, m.histogram["buf"]) == (7, 3)
+        assert verify_adder(c, 2, mode="exhaustive").ok
 
     def test_brent_kung_logic_depth_bound(self):
         for n in (4, 8, 16, 32, 64, 128, 256):

@@ -120,6 +120,21 @@ def test_unlabelled_gate_is_named():
                                f"{gate} and(G(6,6,6), G(1,5,6))")
 
 
+def test_k_operand_first_in_an_or():
+    # the lowest carry of ripple 2 as or(and(x1, y), y): the K label
+    # and(x1, y) is the left operand of the join that absorbs it
+    c = build_adder(AdderSpec("ripple", 2))
+    low = c.output_ids[0]
+    f0, f1 = c._f0[:], c._f1[:]
+    f0[low], f1[low] = f1[low], f0[low]
+    k_left = Circuit(c.name, c._codes, f0, f1, c.input_ids, c.output_ids)
+    assert k_left.kind(low) == "or"
+    assert k_left.kind(k_left.fanins(low)[0]) == "and"
+    proof = prove_adder(k_left, 2)
+    assert (proof.proven, proof.first_unlabelled) == (2, None)
+    assert verify_adder(k_left, 2, mode="exhaustive").ok
+
+
 COVERAGE = [(f, n, full) for f in ALL_FAMILIES
             for n in [*range(1, 65), 100, 1024] for full in (False, True)]
 COVERAGE += [(f, 4096, False) for f in ALL_FAMILIES if f != "mig"]

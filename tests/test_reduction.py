@@ -106,6 +106,10 @@ class TestReductionStructure:
         assert not validate(c)
         assert prune_dead(c).num_gates == c.num_gates
 
+    def test_negative_tau_rejected(self):
+        with pytest.raises(ValueError, match="^tau must be nonnegative$"):
+            apply_reduction(8, -1, serial_inner)
+
     def test_width_must_divide(self):
         with pytest.raises(ValueError):
             apply_reduction(6, 2, serial_inner)

@@ -29,6 +29,10 @@ class TestReferenceRecurrences:
             pairs = gp_prepare(int_to_bits(a, n), int_to_bits(b, n))
             assert bits_to_int(sum_bits(pairs)) == a + b
 
+    def test_summands_must_have_equal_length(self):
+        with pytest.raises(ValueError, match="^summands differ in length$"):
+            gp_prepare([0, 1], [1])
+
     def test_carries_match_integer_addition(self):
         n = 12
         rng = random.Random(3)
@@ -124,6 +128,10 @@ class TestPackedSimulation:
                 out = simulate(c, {i0: a, i1: v})
                 for kind, nid in gates.items():
                     assert out[nid] == truth[kind](a, v), kind
+
+    def test_input_word_count_checked(self):
+        with pytest.raises(ValueError, match="^input word count mismatch$"):
+            simulate_packed(tiny_carry2(), [0, 0, 0], 1)
 
     def test_packed_ripple_matches_scalar_lanes(self):
         rng = random.Random(2)

@@ -20,8 +20,8 @@ from addergen.reduction import build_linear_adder
 from addergen.semantics import simulate, simulate_packed, verify_adder
 from addergen.techmap import (
     LevelizedCircuit,
+    NandNorStyle,
     _demorgan,
-    _NotChain,
     build_nandnor_adder,
     demorgan_map,
     levelize,
@@ -176,8 +176,8 @@ class TestNotChain:
         b = CircuitBuilder()
         i0, i1 = b.add_input(), b.add_input()
         g = b.add_gate(AND, i0, i1)
-        ch = _NotChain(b, (g, False), 4)
-        outlets = [ch.next() for _ in range(4)]
+        ch = NandNorStyle().chain(b, (g, False), 4)
+        outlets = [ch.take() for _ in range(4)]
         # two free slots: the source itself, then inverter links with
         # flipping polarity, the last link serving twice
         assert outlets[0] == (g, False)
@@ -193,15 +193,24 @@ class TestNotChain:
         b.add_gate(NOT, g)
         b.add_gate(NOT, g)
         with pytest.raises(ValueError):
-            _NotChain(b, (g, True), 1)
+            NandNorStyle().chain(b, (g, True), 1)
 
     def test_within_capacity_no_links(self):
         b = CircuitBuilder()
         i0, i1 = b.add_input(), b.add_input()
         g = b.add_gate(OR, i0, i1)
-        ch = _NotChain(b, (g, True), 2)
-        assert [ch.next(), ch.next()] == [(g, True), (g, True)]
+        ch = NandNorStyle().chain(b, (g, True), 2)
+        assert [ch.take(), ch.take()] == [(g, True), (g, True)]
         assert len(b) == 3  # no gates added
+
+
+class TestNandNorStyle:
+    def test_combine_needs_same_polarity_propagates(self):
+        b = CircuitBuilder()
+        x1, y1, x2, y2 = (b.add_input() for _ in range(4))
+        with pytest.raises(ValueError,
+                           match="^combine requires same-polarity propagates$"):
+            NandNorStyle().combine(b, ((x2, True), y2), (x1, y1))
 
 
 # measured once and pinned: (width, gate count, depth)
