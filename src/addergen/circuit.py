@@ -427,10 +427,6 @@ class Pool:
         self._used += 1
         return self._items[idx]
 
-    @property
-    def remaining(self) -> int:
-        return len(self._items) * self._takes - self._used
-
 
 class FanoutChain(Pool):
     """Serve many consumers from one value while keeping fan-out at two.
@@ -448,22 +444,20 @@ class FanoutChain(Pool):
     CircuitBuilder, a repeater node on a prefix graph.
     """
 
-    __slots__ = ("links",)
+    __slots__ = ()
 
     def __init__(self, source, used: int, total: int, link):
         free = max(0, 2 - used)
         if total <= free:
             outlets = [source] * total
-            self.links = 0
         else:
             if free == 0:
                 raise ValueError("fan-out chain source has no free slot")
             # source feeds free-1 consumers plus the first repeater; each
             # repeater feeds one consumer and the next link, the last feeds two
-            self.links = total - free
             outlets = [source] * (free - 1)
             cur = source
-            for _ in range(self.links):
+            for _ in range(total - free):
                 cur = link(cur)
                 outlets.append(cur)
             outlets.append(cur)

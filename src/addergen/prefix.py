@@ -255,7 +255,7 @@ def _liveness(g: PrefixGraph):
                 x_live[v.upper.id] = True
             continue
         if v.kind == REDUCED and x_live[v.id]:
-            raise AssertionError(f"x-component of reduced node requested: {v}")
+            raise ValueError(f"x-component of reduced node requested: {v}")
         if y_live[v.id]:
             x_live[v.upper.id] = True
             y_live[v.upper.id] = True

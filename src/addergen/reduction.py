@@ -18,10 +18,11 @@ finer scale that needs it plus its own output marker; these consumers
 are fed through buffer chains so no node exceeds fan-out two.
 
 The arithmetic shape is fixed, but the gate vocabulary is pluggable: a
-style object supplies the combine / correction / chain / low-carry
-forms, letting an inverting-gate rebuild share this exact control flow.
-Carries travel through the unstep machinery as opaque style tokens (the
-default style uses bare node ids).
+style object supplies the combine / correction / low-carry forms and the
+repeater gate of its chains, letting an inverting-gate rebuild share this
+exact control flow.  Every carry travels as a (node, inverted) token:
+a NOT link flips the polarity of the outlets after it, a BUF link keeps
+it, and an output marker takes one NOT where its carry arrives inverted.
 
 Cost of the wrapper, beyond the inner core: 3 gates per coarse pair,
 2 per correction, and at most ~n/2 chain buffers — under 5.5n total —
@@ -33,13 +34,16 @@ from __future__ import annotations
 import math
 from functools import partial
 
-from .circuit import AND, BUF, OR, CircuitBuilder, FanoutChain, prune_dead
+from .circuit import AND, BUF, NOT, OR, CircuitBuilder, FanoutChain, prune_dead
 from .mig import _mig_carries, choose_params
 
 
 class OrAndStyle:
-    """Default gate vocabulary: AND/OR logic, buffer distribution chains,
-    bare node ids as carry tokens."""
+    """Default gate vocabulary: AND/OR logic, buffer distribution chains.
+    Its corrections read a carry token's node as is, so the inner core
+    must deliver true-polarity carries."""
+
+    repeater = BUF
 
     def combine(self, b: CircuitBuilder, upper, lower):
         """Coarse (X, Y) pair from two adjacent finer pairs."""
@@ -50,24 +54,25 @@ class OrAndStyle:
 
     def correction(self, b: CircuitBuilder, x, y, carry):
         """Carry across an odd block: y or (x and carry-in)."""
-        return b.add_gate(OR, y, b.add_gate(AND, x, carry))
-
-    def chain(self, b: CircuitBuilder, token, total):
-        return FanoutChain(token, b.uses[token], total,
-                           partial(b.add_gate, BUF))
-
-    def lift(self, b: CircuitBuilder, node):
-        """Wrap a pair's Y node as a carry token."""
-        return node
+        return b.add_gate(OR, y, b.add_gate(AND, x, carry[0])), False
 
     def lowest_carry(self, b: CircuitBuilder, x1, y1):
         """Token for the carry out of position 1 (= y_1, buffered so the
         output marker never lands on a raw input)."""
-        return b.add_gate(BUF, y1)
+        return b.add_gate(BUF, y1), False
 
-    def finalize(self, b: CircuitBuilder, token):
-        """The node id to mark as an output for a carry token."""
-        return token
+
+def _signal(x):
+    """Normalize a wire reference to (node, inverted)."""
+    return x if isinstance(x, tuple) else (x, False)
+
+
+def _chain(b: CircuitBuilder, token, total: int, repeater: str):
+    """FanoutChain serving total consumers of a (node, inverted) carry
+    through repeater gates; a NOT link flips the outlets' polarity."""
+    flip = repeater == NOT
+    return FanoutChain(token, b.uses[token[0]], total,
+                       lambda t: (b.add_gate(repeater, t[0]), t[1] ^ flip))
 
 
 def _carry_demand(m: int, n: int, tau: int) -> int:
@@ -85,9 +90,10 @@ def _carry_demand(m: int, n: int, tau: int) -> int:
 def apply_reduction(n: int, tau: int, inner_fn, style=None, name=""):
     """Carry circuit over n positions: tau halving steps around inner_fn.
 
-    inner_fn(b, coarse_pairs) must return one carry token per coarse
-    position, lowest first, with the lowest already safe to consume (the
-    cores here terminate it through an absorbing form themselves).
+    inner_fn(b, coarse_pairs) must return one carry per coarse position,
+    lowest first, each a node id or a (node, inverted) pair, with the
+    lowest already safe to consume (the cores here terminate it through
+    an absorbing form themselves).
 
     The result is returned unpruned; wrappers add no dead gates of their
     own, but an inner core may carry dead scaffolding worth removing.
@@ -106,31 +112,29 @@ def apply_reduction(n: int, tau: int, inner_fn, style=None, name=""):
         levels.append([style.combine(b, prev[2 * i + 1], prev[2 * i])
                        for i in range(len(prev) // 2)])
 
-    tokens = inner_fn(b, levels[tau])
+    # levels are popped coarsest first, so each is freed once its scale is done
+    tokens = inner_fn(b, levels.pop())
     if len(tokens) != n >> tau:
         raise ValueError("inner core returned wrong carry count")
 
     chains = {}
-    for i, token in enumerate(tokens, start=1):
-        m = i << tau
-        chains[m] = style.chain(b, token, _carry_demand(m, n, tau))
 
+    def chain(m, token):
+        chains[m] = _chain(b, token, _carry_demand(m, n, tau), style.repeater)
+
+    for i, token in enumerate(tokens, start=1):
+        chain(i << tau, _signal(token))
     for s in range(tau - 1, -1, -1):
-        stride = 1 << s
-        level = levels[s]
-        if s:
-            low = style.lift(b, level[0][1])
-        else:
-            low = style.lowest_carry(b, level[0][0], level[0][1])
-        chains[stride] = style.chain(b, low, _carry_demand(stride, n, tau))
+        level = levels.pop()
+        chain(1 << s, (level[0][1], False) if s
+              else style.lowest_carry(b, *level[0]))
         for j in range(3, (n >> s) + 1, 2):
-            x, y = level[j - 1]
-            token = style.correction(b, x, y, chains[(j - 1) << s].take())
-            chains[j << s] = style.chain(b, token,
-                                         _carry_demand(j << s, n, tau))
+            carry_in = chains[(j - 1) << s].take()
+            chain(j << s, style.correction(b, *level[j - 1], carry_in))
 
     for m in range(1, n + 1):
-        b.mark_output(style.finalize(b, chains[m].take()))
+        node, inverted = chains[m].take()
+        b.mark_output(b.add_gate(NOT, node) if inverted else node)
     return b.build()
 
 
@@ -162,9 +166,6 @@ def build_linear_adder(n: int, tau=None):
             raise ValueError(f"tau must lie in [0, {ld - 1}] for width {n}")
     w = n >> tau
     r, k, _ = choose_params(w)
-
-    def inner(b, coarse_pairs):
-        return _mig_carries(b, coarse_pairs, r, k)
-
-    raw = apply_reduction(n, tau, inner, name=f"linear{n}")
+    raw = apply_reduction(n, tau, partial(_mig_carries, r=r, k=k),
+                          name=f"linear{n}")
     return prune_dead(raw)

@@ -49,11 +49,10 @@ from .circuit import (
     OR,
     Circuit,
     CircuitBuilder,
-    FanoutChain,
     prune_dead,
 )
 from .mig import build_mig_adder, choose_params
-from .reduction import apply_reduction, reduction_depth_for
+from .reduction import _signal, apply_reduction, reduction_depth_for
 
 
 @dataclass(frozen=True)
@@ -169,20 +168,18 @@ def demorgan_map(lc: LevelizedCircuit) -> Circuit:
     return b.build()
 
 
-def _signal(x):
-    """Normalize a wire reference to (node, inverted)."""
-    return x if isinstance(x, tuple) else (x, False)
-
-
 class NandNorStyle:
-    """Carry-reduction vocabulary over {NAND, NOR, NOT}.
+    """Carry-reduction vocabulary over {NAND, NOR, NOT}, with inverter
+    distribution chains.
 
-    Carry tokens and pair propagates are (node, inverted) wires; pair
-    generates stay true-polarity throughout.  The propagate half of a
+    Pair propagates are (node, inverted) wires like the carry tokens;
+    pair generates stay true-polarity throughout.  The propagate half of a
     halved pair alternates polarity with each halving level, costing a
     single inverting gate per level, which is what keeps the depth in
     step with the AND/OR vocabulary.
     """
+
+    repeater = NOT
 
     def combine(self, b: CircuitBuilder, upper, lower):
         ux, uneg = _signal(upper[0])
@@ -212,20 +209,8 @@ class NandNorStyle:
         return b.add_gate(
             NAND, b.add_gate(NAND, xtrue, cn), b.add_gate(NOT, y)), False
 
-    def chain(self, b: CircuitBuilder, token, total):
-        """Fan-out chain over inverters; outlets carry their polarity."""
-        return FanoutChain(token, b.uses[token[0]], total,
-                           lambda t: (b.add_gate(NOT, t[0]), not t[1]))
-
-    def lift(self, b: CircuitBuilder, node):
-        return node, False
-
     def lowest_carry(self, b: CircuitBuilder, x1, y1):
         return b.add_gate(NOT, y1), True
-
-    def finalize(self, b: CircuitBuilder, token):
-        node, neg = token
-        return b.add_gate(NOT, node) if neg else node
 
 
 def build_nandnor_adder(n: int) -> Circuit:

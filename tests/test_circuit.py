@@ -482,22 +482,24 @@ class TestFanoutChain:
         i0 = b.add_input()
         i1 = b.add_input()
         src = b.add_gate(AND, i0, i1)
+        before = len(b)
         chain = buf_chain(b, src, total)
+        assert len(b) - before == max(0, total - 2)  # one buffer per link
         sinks = self._consume(b, chain, total)
         for s in sinks:
             b.mark_output(s)
         c = b.build()
         assert validate(c) == []
         assert max(c.consumer_counts()) <= 2
-        assert chain.links == max(0, total - 2)
 
     def test_direct_when_capacity_suffices(self):
         b = CircuitBuilder()
         i0 = b.add_input()
         src = b.add_gate(BUF, i0)
+        before = len(b)
         chain = buf_chain(b, src, 2)
+        assert len(b) == before  # no links
         assert chain.take() == src and chain.take() == src
-        assert chain.links == 0
 
     def test_earliest_consumer_closest(self):
         b = CircuitBuilder()

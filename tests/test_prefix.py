@@ -170,6 +170,20 @@ class TestExpansion:
         assert (m.size, m.histogram["buf"]) == (7, 3)
         assert verify_adder(c, 2, mode="exhaustive").ok
 
+    def test_reduced_node_as_upper_operand_rejected(self):
+        # a reduced node drops its x component, so a live combine cannot
+        # take it as the upper operand
+        g = PrefixGraph(3)
+        p1, p2, p3 = g.pairs
+        r = g.op(p3, p2, reduced=True)
+        g.set_output(1, p1)
+        g.set_output(2, g.op(p2, p1))
+        g.set_output(3, g.op(r, p1))
+        with pytest.raises(ValueError, match=(
+                r"^x-component of reduced node requested: "
+                r"<reduced\[2,3\]#3>$")):
+            expand_to_logic(g)
+
     def test_brent_kung_logic_depth_bound(self):
         for n in (4, 8, 16, 32, 64, 128, 256):
             c = expand_to_logic(brent_kung(n))

@@ -16,15 +16,19 @@ from collections import Counter
 import pytest
 
 from addergen.circuit import (
+    AND,
+    BUF,
     CircuitBuilder,
     metrics,
     prune_dead,
     validate,
 )
 from addergen.mig import _mig_carries, build_mig_adder, choose_params
+from addergen.netlist import dumps_netlist
 from addergen.prefix import _expand_onto, brent_kung, expand_to_logic, serial_prefix
 from addergen.reduction import (
     _carry_demand,
+    _chain,
     apply_reduction,
     build_linear_adder,
     reduction_depth_for,
@@ -73,6 +77,17 @@ class TestCarryDemand:
         assert _carry_demand(8, 32, 1) == 2  # just sigma=1 (target 9)
 
 
+class TestCarryChain:
+    def test_buffer_links_keep_polarity(self):
+        b = CircuitBuilder()
+        i0, i1 = b.add_input(), b.add_input()
+        g = b.add_gate(AND, i0, i1)
+        ch = _chain(b, (g, False), 3, BUF)
+        assert len(b) == 4 and b._codes[3] == KIND_ORDER.index("buf")
+        outlets = [ch.take() for _ in range(3)]
+        assert outlets == [(g, False), (3, False), (3, False)]
+
+
 class TestReductionStructure:
     def test_zero_steps_is_the_inner_core(self):
         base = metrics(expand_to_logic(brent_kung(8)))
@@ -113,6 +128,14 @@ class TestReductionStructure:
     def test_width_must_divide(self):
         with pytest.raises(ValueError):
             apply_reduction(6, 2, serial_inner)
+
+    @pytest.mark.parametrize("n, tau", [(8, 1), (16, 2), (64, 3)])
+    def test_core_tokens_as_pairs_or_bare_ids(self, n, tau):
+        def pair_inner(b, pairs):
+            return [(c, False) for c in serial_inner(b, pairs)]
+
+        assert (dumps_netlist(apply_reduction(n, tau, pair_inner))
+                == dumps_netlist(apply_reduction(n, tau, serial_inner)))
 
     def test_inner_carry_count_checked(self):
         def bad_inner(b, pairs):
