@@ -52,9 +52,10 @@ class CircuitError(ValueError):
 
 
 class CircuitBuilder:
-    """Append-only constructor; tracks live fan-out counts while building."""
+    """Append-only constructor holding only the circuit arrays; consumers
+    are counted by Circuit.consumer_counts on a built circuit."""
 
-    __slots__ = ("name", "_codes", "_f0", "_f1", "_inputs", "_outputs", "uses")
+    __slots__ = ("name", "_codes", "_f0", "_f1", "_inputs", "_outputs")
 
     def __init__(self, name=""):
         self.name = name
@@ -63,7 +64,6 @@ class CircuitBuilder:
         self._f1 = array("i")
         self._inputs = []
         self._outputs = []
-        self.uses = []  # consumer count per node, output markers included
 
     def __len__(self):
         return len(self._codes)
@@ -74,38 +74,28 @@ class CircuitBuilder:
         self._f0.append(-1)
         self._f1.append(-1)
         self._inputs.append(nid)
-        self.uses.append(0)
         return nid
 
     def add_gate(self, kind: str, a: int, b: int | None = None) -> int:
         nid = len(self._codes)
-        arity = GATE_ARITY[kind]
+        arity = GATE_ARITY.get(kind)
+        if arity is None:
+            raise ValueError(f"unknown gate kind {kind!r}")
         if not 0 <= a < nid:
             raise ValueError(f"fanin {a} out of range for node {nid}")
-        uses = self.uses
-        uses[a] += 1
-        if arity == 2:
-            if b is None or not 0 <= b < nid:
-                raise ValueError(f"fanin {b} out of range for node {nid}")
-            uses[b] += 1
-            self._f1.append(b)
-        else:
-            if b is not None:
-                raise ValueError(f"{kind} takes one fanin")
-            self._f1.append(-1)
+        if arity == 1 and b is not None:
+            raise ValueError(f"{kind} takes one fanin")
+        if arity == 2 and (b is None or not 0 <= b < nid):
+            raise ValueError(f"fanin {b} out of range for node {nid}")
         self._codes.append(KIND_CODES[kind])
         self._f0.append(a)
-        uses.append(0)
+        self._f1.append(-1 if b is None else b)
         return nid
 
     def mark_output(self, nid: int):
         if not 0 <= nid < len(self._codes):
             raise ValueError(f"output id {nid} out of range")
         self._outputs.append(nid)
-        self.uses[nid] += 1
-
-    def fanout(self, nid: int) -> int:
-        return self.uses[nid]
 
     def inline(self, c: "Circuit", leaves) -> list:
         """Append c's gates in id order with c.input_ids bound to leaves.
@@ -123,21 +113,15 @@ class CircuitBuilder:
             if not 0 <= leaf < nid:
                 raise ValueError(f"leaf {leaf} out of range")
             remap[old] = leaf
-        codes, f0, f1, uses = self._codes, self._f0, self._f1, self.uses
+        codes, f0, f1 = self._codes, self._f0, self._f1
         src_f0, src_f1 = c._f0, c._f1
         for old, code in enumerate(c._codes):
             if code == 0:
                 continue
-            a = remap[src_f0[old]]
-            uses[a] += 1
             b = src_f1[old]
-            if b >= 0:
-                b = remap[b]
-                uses[b] += 1
             codes.append(code)
-            f0.append(a)
-            f1.append(b)
-            uses.append(0)
+            f0.append(remap[src_f0[old]])
+            f1.append(remap[b] if b >= 0 else -1)
             remap[old] = nid
             nid += 1
         return remap

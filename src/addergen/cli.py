@@ -22,7 +22,9 @@ from .families import (
     FAMILIES, AdderSpec, build_adder, build_full_adder, verify_full_adder,
 )
 from .netlist import _dot_blocks, load_netlist, save_netlist
-from .semantics import DEFAULT_SAMPLES, DEFAULT_SEED, verify_adder
+from .semantics import (
+    DEFAULT_SAMPLES, DEFAULT_SEED, MAX_COUNTEREXAMPLES, verify_adder,
+)
 
 
 class ComparisonRow(NamedTuple):
@@ -118,7 +120,7 @@ def cmd_verify(args) -> int:
     print(f"{args.infile}: {report.summary()}{seed}")
     shown = ((phase, ce) for phase in report.phases
              for ce in phase.counterexamples)
-    for phase, ce in islice(shown, 10):
+    for phase, ce in islice(shown, MAX_COUNTEREXAMPLES):
         pairs = " ".join(f"({a},{b})" for a, b in ce.pairs)
         print(f"counterexample #{ce.index} [{phase.name}]: "
               f"inputs {pairs} expected {ce.expected} got {ce.got}")

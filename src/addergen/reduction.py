@@ -67,11 +67,12 @@ def _signal(x):
     return x if isinstance(x, tuple) else (x, False)
 
 
-def _chain(b: CircuitBuilder, token, total: int, repeater: str):
+def _chain(b: CircuitBuilder, token, used: int, total: int, repeater: str):
     """FanoutChain serving total consumers of a (node, inverted) carry
-    through repeater gates; a NOT link flips the outlets' polarity."""
+    whose node already has used consumers, through repeater gates; a NOT
+    link flips the outlets' polarity."""
     flip = repeater == NOT
-    return FanoutChain(token, b.uses[token[0]], total,
+    return FanoutChain(token, used, total,
                        lambda t: (b.add_gate(repeater, t[0]), t[1] ^ flip))
 
 
@@ -117,10 +118,16 @@ def apply_reduction(n: int, tau: int, inner_fn, style=None, name=""):
     if len(tokens) != n >> tau:
         raise ValueError("inner core returned wrong carry count")
 
+    # consumers are counted once, here: inner carries have what the core gave
+    # them, each scale's lowest y its coarser combine from halving; later
+    # sources (corrections, the lowest carry) are fresh gates with none yet
+    counts = b.build().consumer_counts()
     chains = {}
 
     def chain(m, token):
-        chains[m] = _chain(b, token, _carry_demand(m, n, tau), style.repeater)
+        used = counts[token[0]] if token[0] < len(counts) else 0
+        chains[m] = _chain(b, token, used, _carry_demand(m, n, tau),
+                           style.repeater)
 
     for i, token in enumerate(tokens, start=1):
         chain(i << tau, _signal(token))

@@ -256,9 +256,9 @@ class VerifyReport:
 
 
 def _collect_counterexamples(any_diff, x_words, y_words, expected, got,
-                             limit, base_index, out):
+                             base_index, out):
     """Append a counterexample per set lane of any_diff, lowest first."""
-    while any_diff and len(out) < limit:
+    while any_diff and len(out) < MAX_COUNTEREXAMPLES:
         t = (any_diff & -any_diff).bit_length() - 1
         pairs = tuple(((xw >> t) & 1, (yw >> t) & 1)
                       for xw, yw in zip(x_words, y_words))
@@ -279,7 +279,7 @@ def _full_sum_words(a_words, b_words):
     return sums
 
 
-def _run_phase(c, name, chunks, oracle, limit=10):
+def _run_phase(c, name, chunks, oracle):
     """Simulate every chunk and compare with the packed oracle.
 
     chunks yields (offset, width, first_words, second_words) with one word
@@ -299,7 +299,7 @@ def _run_phase(c, name, chunks, oracle, limit=10):
             bad |= d
         if bad:
             _collect_counterexamples(bad, x_words, y_words, expected, got,
-                                     limit, offset, phase.counterexamples)
+                                     offset, phase.counterexamples)
         phase.patterns += width
         del x_words, y_words, got, expected
     return phase
@@ -319,6 +319,8 @@ def _check_interface(c, n, n_outputs):
 # random mode's pattern count and seed when the caller names none
 DEFAULT_SAMPLES = 100_000
 DEFAULT_SEED = 0xC0FFEE
+# counterexamples kept per phase, and shown per report by the CLI
+MAX_COUNTEREXAMPLES = 10
 
 
 def _verify(c, n, n_outputs, oracle, grids, labels, mode, samples, seed):

@@ -60,16 +60,24 @@ class TestBuilder:
         with pytest.raises(ValueError):
             b.add_gate(AND, i0)
 
+    @pytest.mark.parametrize("kind", ["foo", "input"])
+    def test_unknown_kind_rejected(self, kind):
+        b = CircuitBuilder()
+        b.add_input()
+        with pytest.raises(ValueError, match=f"^unknown gate kind '{kind}'$"):
+            b.add_gate(kind, 0)
+        assert len(b) == 1 and b.build().fanins(0) == ()
+
     def test_live_fanout_counts(self):
         b = CircuitBuilder()
         i0 = b.add_input()
         i1 = b.add_input()
         g = b.add_gate(AND, i0, i1)
-        assert b.fanout(i0) == 1
+        assert b.build().consumer_counts()[i0] == 1
         b.add_gate(NOT, i0)
-        assert b.fanout(i0) == 2
+        assert b.build().consumer_counts()[i0] == 2
         b.mark_output(g)
-        assert b.fanout(g) == 1
+        assert b.build().consumer_counts()[g] == 1
 
     @pytest.mark.parametrize("nid", [1, -1])
     def test_mark_output_out_of_range(self, nid):
@@ -85,10 +93,10 @@ class TestBuilder:
         leaves = [b.add_gate(NOT, i) for i in ins]
         remap = b.inline(core, leaves)
         assert [remap[i] for i in core.input_ids] == leaves
-        # consumers are counted as for add_gate (inputs are no outputs)
-        assert [b.fanout(x) for x in leaves] == [
-            core.consumer_counts()[i] for i in core.input_ids]
+        # each leaf gets the consumers its input had in core (no outputs)
         c = b.build()
+        assert [c.consumer_counts()[x] for x in leaves] == [
+            core.consumer_counts()[i] for i in core.input_ids]
         assert len(c) == 8 + core.num_gates
         for nid in range(len(core)):
             if not core.is_input(nid):
@@ -466,7 +474,8 @@ class TestConstantFold:
 
 
 def buf_chain(b, src, total):
-    return FanoutChain(src, b.uses[src], total, partial(b.add_gate, BUF))
+    return FanoutChain(src, b.build().consumer_counts()[src], total,
+                       partial(b.add_gate, BUF))
 
 
 class TestFanoutChain:

@@ -11,6 +11,7 @@ So the wrapper alone costs exactly 3(n-w) - tau ANDs and 2(n-w) - tau
 ORs beyond the inner core, staying under 5.5n gates with chains.
 """
 
+import hashlib
 from collections import Counter
 
 import pytest
@@ -82,7 +83,7 @@ class TestCarryChain:
         b = CircuitBuilder()
         i0, i1 = b.add_input(), b.add_input()
         g = b.add_gate(AND, i0, i1)
-        ch = _chain(b, (g, False), 3, BUF)
+        ch = _chain(b, (g, False), b.build().consumer_counts()[g], 3, BUF)
         assert len(b) == 4 and b._codes[3] == KIND_ORDER.index("buf")
         outlets = [ch.take() for _ in range(3)]
         assert outlets == [(g, False), (3, False), (3, False)]
@@ -136,6 +137,32 @@ class TestReductionStructure:
 
         assert (dumps_netlist(apply_reduction(n, tau, pair_inner))
                 == dumps_netlist(apply_reduction(n, tau, serial_inner)))
+
+    # sha256 of the netlist text; most inner carries of these cores arrive
+    # with one consumer already, which the wrapper must count before it
+    # chains them (brent_kung needs a power-of-two core, so no bk 12/2)
+    PINNED = [
+        (serial_inner, 8, 1,
+         "c65e7528bf8774578a9945150e6cd22560595f90a6eb44870c463ee117a1b75b"),
+        (serial_inner, 12, 2,
+         "b5b41548abb255e9c3c69e206f804b0f14d8c6d9d8a45b2e2561554458e3e616"),
+        (serial_inner, 16, 2,
+         "a1efddd7e5d2c31de8d4a349d1db9f358e6973a20b768e44d03c0bebae5ab02c"),
+        (serial_inner, 64, 3,
+         "bf1b7d0778dab188fe2d05a9d81170db81aa81bee5672d7cba5c96b85b3ef718"),
+        (bk_inner, 8, 1,
+         "31c734b8f0bf8f1d3e26c03be89e32efe33a4c13e87d489eda86eca2312723dd"),
+        (bk_inner, 16, 2,
+         "161edb7553a7150b8b078b0d9dc0197e20075eef64f0f703d8f0f7a356712bbd"),
+        (bk_inner, 64, 3,
+         "979de6fe1f3067ee216eebfcb751f0471fa88a4837dfe2e7752801e500af536a"),
+    ]
+
+    @pytest.mark.parametrize("core, n, tau, sha", PINNED, ids=[
+        f"{core.__name__}-{n}-{tau}" for core, n, tau, _ in PINNED])
+    def test_pinned_netlists(self, core, n, tau, sha):
+        text = dumps_netlist(apply_reduction(n, tau, core))
+        assert hashlib.sha256(text.encode()).hexdigest() == sha
 
     def test_inner_carry_count_checked(self):
         def bad_inner(b, pairs):

@@ -176,7 +176,7 @@ class TestNotChain:
         b = CircuitBuilder()
         i0, i1 = b.add_input(), b.add_input()
         g = b.add_gate(AND, i0, i1)
-        ch = _chain(b, (g, False), 4, NOT)
+        ch = _chain(b, (g, False), b.build().consumer_counts()[g], 4, NOT)
         outlets = [ch.take() for _ in range(4)]
         # two free slots: the source itself, then inverter links with
         # flipping polarity, the last link serving twice
@@ -193,13 +193,13 @@ class TestNotChain:
         b.add_gate(NOT, g)
         b.add_gate(NOT, g)
         with pytest.raises(ValueError):
-            _chain(b, (g, True), 1, NOT)
+            _chain(b, (g, True), b.build().consumer_counts()[g], 1, NOT)
 
     def test_within_capacity_no_links(self):
         b = CircuitBuilder()
         i0, i1 = b.add_input(), b.add_input()
         g = b.add_gate(OR, i0, i1)
-        ch = _chain(b, (g, True), 2, NOT)
+        ch = _chain(b, (g, True), b.build().consumer_counts()[g], 2, NOT)
         assert [ch.take(), ch.take()] == [(g, True), (g, True)]
         assert len(b) == 3  # no gates added
 
