@@ -127,8 +127,9 @@ class CircuitBuilder:
         return remap
 
     def build(self) -> "Circuit":
+        """The circuit so far, on copies that later appends leave alone."""
         return Circuit(
-            self.name, self._codes, self._f0, self._f1,
+            self.name, self._codes[:], self._f0[:], self._f1[:],
             tuple(self._inputs), tuple(self._outputs),
         )
 

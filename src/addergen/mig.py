@@ -25,17 +25,18 @@ The supporting cast keeps every wire at fan-out two:
 Columns can be truncated: building only columns 1..w of the full
 2**(r*k)-wide structure yields a w-bit carry circuit, which is how widths
 that are not of the form 2**(r*k) are served.  The raw structure contains
-dead scaffolding (unused duplicate copies, full-range AND chains) whose
-removal is left to pruning; size formulas quoted in tests refer to the
-unpruned structure, fan-out and verification to the pruned one.
+dead scaffolding (unread copies and leaves, unread AND chains) that the
+size formulas quoted in tests count; the default build sizes every pool
+to the takes it will serve and so emits the pruned raw structure itself.
 """
 
 from __future__ import annotations
 
 import math
+from operator import or_
 from typing import NamedTuple
 
-from .circuit import AND, BUF, OR, CircuitBuilder, Pool, lsb_carry, prune_dead
+from .circuit import AND, BUF, OR, CircuitBuilder, Pool, lsb_carry
 
 
 class MigParams(NamedTuple):
@@ -53,20 +54,23 @@ def choose_params(n: int) -> MigParams:
     return MigParams(side, side, 1 << (side * side))
 
 
-def _replicate(b: CircuitBuilder, src: int, leaves: int, rooted: bool):
-    """Buffer tree turning one value into `leaves` copies (a power of two).
+def _replicate(b: CircuitBuilder, src: int, leaves: int, rooted: bool,
+               live: int):
+    """Buffer tree turning one value into `leaves` copies (a power of two),
+    of which only the first `live` and their ancestors are emitted.
 
     Rooted trees spend one fan-out slot of src and cost 2*leaves - 1
-    buffers; unrooted trees split src directly (both its slots) and cost
-    2*leaves - 2, with the single-leaf case returning src itself.
+    buffers in full; unrooted trees split src directly (both its slots)
+    and cost 2*leaves - 2, with the single-leaf case returning src itself.
     """
+    if not live:
+        return []
     cur = [b.add_gate(BUF, src)] if rooted else [src]
-    while len(cur) < leaves:
-        nxt = []
-        for v in cur:
-            nxt.append(b.add_gate(BUF, v))
-            nxt.append(b.add_gate(BUF, v))
-        cur = nxt
+    width = 1
+    while width < leaves:
+        width *= 2
+        cur = [b.add_gate(BUF, cur[i // 2])
+               for i in range(-(-live * width // leaves))]
     return cur
 
 
@@ -75,10 +79,10 @@ def _and_suffix(b: CircuitBuilder, ports):
 
     Every level touches every position (combine or buffer) except that
     finished positions pass through the last level untouched, so each
-    port feeds at most two gates and T_1 (never consumed by a minterm)
-    is a dead chain for pruning to reclaim.  A position that would reach
-    the output untouched is buffered once to keep raw ports off the
-    result list."""
+    port feeds at most two gates.  T_0 is never consumed by a minterm;
+    a None ports[0] skips its chain.  A position that would reach the
+    output untouched is buffered once to keep raw ports off the result
+    list."""
     q = len(ports)
     prev = list(ports)
     levels = (q - 1).bit_length()
@@ -88,7 +92,9 @@ def _and_suffix(b: CircuitBuilder, ports):
         final = i == levels
         cur = []
         for j in range(q):
-            if j + d < q:
+            if prev[j] is None:
+                cur.append(None)
+            elif j + d < q:
                 cur.append(b.add_gate(AND, prev[j], prev[j + d]))
                 touched[j] = True
             elif not final or not touched[j]:
@@ -100,23 +106,25 @@ def _and_suffix(b: CircuitBuilder, ports):
     return prev
 
 
-def _dup_or(b: CircuitBuilder, leaves, copies: int):
-    """`copies` duplicates of OR(leaves), each consumable at most twice.
+def _dup_or(b: CircuitBuilder, leaves, copies: int, live: int):
+    """The first `live` of `copies` duplicates of OR(leaves), each
+    consumable at most twice.
 
     The leaf list splits contiguously at the largest power of two below
     its length; each recursion level emits `copies` ORs fed by half as
     many copies of either half, so the full case costs r * 2**(r-1) ORs
-    and a single-copy request degenerates to a balanced OR tree."""
+    and a single-copy request degenerates to a balanced OR tree.  The
+    shape follows `copies`; `live` only truncates each level."""
     if len(leaves) == 1:
         if copies == 1:
             return list(leaves)
-        sub = _dup_or(b, leaves, (copies + 1) // 2)
-        return [b.add_gate(BUF, sub[i // 2]) for i in range(copies)]
+        sub = _dup_or(b, leaves, (copies + 1) // 2, (live + 1) // 2)
+        return [b.add_gate(BUF, sub[i // 2]) for i in range(live)]
     h = 1 << ((len(leaves) - 1).bit_length() - 1)
-    need = (copies + 1) // 2
-    left = _dup_or(b, leaves[:h], need)
-    right = _dup_or(b, leaves[h:], need)
-    return [b.add_gate(OR, left[i // 2], right[i // 2]) for i in range(copies)]
+    need, sub_live = (copies + 1) // 2, (live + 1) // 2
+    left = _dup_or(b, leaves[:h], need, sub_live)
+    right = _dup_or(b, leaves[h:], need, sub_live)
+    return [b.add_gate(OR, left[i // 2], right[i // 2]) for i in range(live)]
 
 
 def build_generate_gate(b: CircuitBuilder, r: int, gen_ports, prop_ports,
@@ -129,20 +137,27 @@ def build_generate_gate(b: CircuitBuilder, r: int, gen_ports, prop_ports,
     Returns the output copies: 2**(r-1) pooled duplicates on inner rows,
     a single balanced-tree output when final_level is set.
     """
-    q = len(gen_ports)
-    if q != len(prop_ports) or q < 2:
+    if len(gen_ports) != len(prop_ports) or len(gen_ports) < 2:
         raise ValueError("need matching gen/prop ports, at least two blocks")
+    copies = 1 if final_level else 1 << (r - 1)
+    return _generate_gate(b, gen_ports, prop_ports, copies, copies)
+
+
+def _generate_gate(b: CircuitBuilder, gen_ports, prop_ports, copies: int,
+                   live: int):
+    """build_generate_gate's first `live` of `copies` output copies; a
+    None lowest prop port skips its dead AND-suffix position."""
+    q = len(gen_ports)
     suffix = _and_suffix(b, prop_ports)
     minterms = [b.add_gate(AND, gen_ports[j], suffix[j + 1])
                 for j in range(q - 1)]
-    copies = 1 if final_level else 1 << (r - 1)
     last = gen_ports[q - 1]
     if copies > 1:
         # the duplication tree may wire a raw leaf twice; the highest gen
         # port was dispensed for a single wiring, so shield it
         last = b.add_gate(BUF, last)
     minterms.append(last)
-    return _dup_or(b, minterms, copies)
+    return _dup_or(b, minterms, copies, live)
 
 
 def build_augmented_and_prefix(b: CircuitBuilder, xs, r: int, k: int,
@@ -161,36 +176,56 @@ def build_augmented_and_prefix(b: CircuitBuilder, xs, r: int, k: int,
     by default; with omit_last_block=False its (dead) repeat row is kept,
     completing the unpruned size formula w*r*(k-1) + w*k*2**(r+1).
     """
-    w = len(xs)
-    taps = {}
-    for c in range(1, w + 1):
-        taps[(c, 0)] = Pool(_replicate(b, xs[c - 1], 1 << r, rooted=True),
-                            takes_per_item=1)
-    cur = list(xs)
-    length = 1
-    last_block = k - 1 if omit_last_block else k
-    for lam in range(1, last_block + 1):
-        cur = [b.add_gate(BUF, v) for v in cur]  # repeat row
-        if lam == k:
-            break  # dead repeat row of the final block, kept for accounting
-        for _ in range(r):
-            nxt = []
-            for c in range(1, w + 1):
-                if c <= length:
-                    nxt.append(b.add_gate(BUF, cur[c - 1]))
-                else:
-                    nxt.append(b.add_gate(AND, cur[c - 1],
-                                          cur[c - 1 - length]))
-            cur = nxt
-            length *= 2
-        for c in range(1, w + 1):
-            taps[(c, lam)] = Pool(
-                _replicate(b, cur[c - 1], 1 << r, rooted=True),
-                takes_per_item=1)
+    taps, cur = _windows(b, xs, r, k, lambda c, lam: 1 << r)
+    if not omit_last_block:
+        # dead repeat row of the final block, kept for accounting
+        for v in cur:
+            b.add_gate(BUF, v)
     return taps
 
 
-def _mig_carries(b: CircuitBuilder, pairs, r: int, k: int):
+def _windows(b: CircuitBuilder, xs, r: int, k: int, leaves):
+    """build_augmented_and_prefix's taps and blocks 1..k-1, tap (c, lam)
+    emitting its first leaves(c, lam) leaves and the lattice only the
+    nodes those read; returns the taps and the last row (None where dead).
+    """
+    w = len(xs)
+    # one backward pass from the live tap roots: a doubling-row node reads
+    # its own column and the one `length` below, a repeat-row node its own
+    rows = []  # per lattice row, 1 where live, last row first
+    live = bytes(w)
+    for lam in range(k - 1, 0, -1):
+        live = bytes(x | (leaves(c, lam) > 0)
+                     for c, x in enumerate(live, start=1))
+        for i in range(r - 1, -1, -1):
+            rows.append(live)
+            length = 1 << (r * (lam - 1) + i)
+            live = bytes(map(or_, live, live[length:] + bytes(length)))
+        rows.append(live)
+    rows.reverse()
+
+    def tap(c, lam, root):
+        return Pool(_replicate(b, root, 1 << r, True, leaves(c, lam)),
+                    takes_per_item=1)
+
+    taps = {(c, 0): tap(c, 0, xs[c - 1]) for c in range(1, w + 1)}
+    cur = list(xs)
+    length = 1
+    rows = iter(rows)
+    for lam in range(1, k):
+        cur = [b.add_gate(BUF, v) if keep else None  # repeat row
+               for v, keep in zip(cur, next(rows))]
+        for _ in range(r):  # doubling rows; the right side reads the old cur
+            cur = [None if not keep else b.add_gate(BUF, v) if j < length
+                   else b.add_gate(AND, v, cur[j - length])
+                   for j, (v, keep) in enumerate(zip(cur, next(rows)))]
+            length *= 2
+        for c in range(1, w + 1):
+            taps[(c, lam)] = tap(c, lam, cur[c - 1])
+    return taps, cur
+
+
+def _mig_carries(b: CircuitBuilder, pairs, r: int, k: int, lean=True):
     """Emit the k-row generate-gate lattice onto a builder.
 
     pairs[i] = (x, y) node ids of position i+1; returns carry ids
@@ -198,13 +233,33 @@ def _mig_carries(b: CircuitBuilder, pairs, r: int, k: int):
     beyond one block boundary get a gate merging up to 2**r pooled block
     carries, columns inside the first block re-pool their final value
     through a box (or surrender it to the output on the last row).
+
+    lean=True emits only live gates: pools are cut to the takes that
+    reach an output, and a gate skips its lowest column's tap, which feeds
+    only its dead AND-suffix position; lean=False emits the raw structure.
     """
     w = len(pairs)
     xs = [p[0] for p in pairs]
     ys = [p[1] for p in pairs]
-    taps = build_augmented_and_prefix(b, xs, r, k)
-    half = 1 << (r - 1)
-    pools = {t: Pool(_replicate(b, ys[t - 1], half, rooted=False))
+    full = 1 << r
+    half = full >> 1
+
+    # Column c's carry pool on a row of block width delta serves the gates
+    # at columns c + m*delta > delta (m < 2**r), plus its own box or output
+    # if c <= delta: 1 + min(2**r - 1, (w - c) // delta) takes, two per
+    # copy.  Its tap serves the same gates bar those whose lowest column
+    # it is: all of them if c <= delta, else the one at m = 2**r - 1.
+    def copies(c, delta):
+        return (2 + min(full - 1, (w - c) // delta)) // 2 if lean else half
+
+    def leaves(c, lam):  # taps of level lam are read on row lam + 1
+        delta = 1 << (r * lam)
+        if not lean:
+            return full
+        return min(full - 1, (w - c) // delta + 1) if c > delta else 0
+
+    taps, _ = _windows(b, xs, r, k, leaves)
+    pools = {t: Pool(_replicate(b, ys[t - 1], half, False, copies(t, 1)))
              for t in range(1, w + 1)}
     carries = [None] * w
     for l in range(1, k + 1):
@@ -217,14 +272,17 @@ def _mig_carries(b: CircuitBuilder, pairs, r: int, k: int):
                 if final:
                     carries[t - 1] = src
                 else:
-                    nxt[t] = Pool(_replicate(b, src, half, rooted=True))
+                    nxt[t] = Pool(_replicate(b, src, half, True,
+                                             copies(t, delta << r)))
             else:
-                q = min(1 << r, -(-t // delta))
+                q = min(full, -(-t // delta))
                 cols = [t - (q - i) * delta for i in range(1, q + 1)]
                 gens = [pools[c].take() for c in cols]
-                props = [taps[(c, l - 1)].take() for c in cols]
-                outs = build_generate_gate(b, r, gens, props,
-                                           final_level=final)
+                props = [None] * lean + [taps[(c, l - 1)].take()
+                                         for c in cols[lean:]]
+                n_out = 1 if final else half
+                outs = _generate_gate(b, gens, props, n_out,
+                                      min(n_out, copies(t, delta << r)))
                 if final:
                     carries[t - 1] = outs[0]
                 else:
@@ -242,9 +300,10 @@ def build_mig_adder(n: int, r: int | None = None, k: int | None = None,
 
     Parameters r (block merge width 2**r) and k (rows) default to the
     balanced choice; any n up to 2**(r*k) is built by column truncation.
-    With prune=True (default) dead scaffolding is removed and the result
-    validates cleanly at fan-out two; prune=False exposes the raw
-    structure whose size the closed formulas describe.
+    With prune=True (default) only live gates are emitted, the raw
+    structure's pruned form, and the result validates cleanly at fan-out
+    two; prune=False exposes the raw structure whose size the closed
+    formulas describe.
     """
     if r is None and k is None:
         r, k, _ = choose_params(n)
@@ -256,7 +315,6 @@ def build_mig_adder(n: int, r: int | None = None, k: int | None = None,
         raise ValueError(f"width {n} outside 1..2**(r*k)")
     b = CircuitBuilder(f"mig{n}-r{r}k{k}")
     pairs = [(b.add_input(), b.add_input()) for _ in range(n)]
-    for cid in _mig_carries(b, pairs, r, k):
+    for cid in _mig_carries(b, pairs, r, k, lean=prune):
         b.mark_output(cid)
-    c = b.build()
-    return prune_dead(c) if prune else c
+    return b.build()

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from functools import partial
 
-from .circuit import AND, BUF, NOT, OR, CircuitBuilder, FanoutChain, prune_dead
+from .circuit import AND, BUF, NOT, OR, CircuitBuilder, FanoutChain
 from .mig import _mig_carries, choose_params
 
 
@@ -96,8 +96,8 @@ def apply_reduction(n: int, tau: int, inner_fn, style=None, name=""):
     lowest already safe to consume (the cores here terminate it through
     an absorbing form themselves).
 
-    The result is returned unpruned; wrappers add no dead gates of their
-    own, but an inner core may carry dead scaffolding worth removing.
+    The wrapper adds no dead gates of its own, so the result has none
+    when the inner core emits only live gates, as the cores here do.
     With tau = 0 this is exactly the inner core plus output markers.
     """
     style = style or OrAndStyle()
@@ -173,6 +173,5 @@ def build_linear_adder(n: int, tau=None):
             raise ValueError(f"tau must lie in [0, {ld - 1}] for width {n}")
     w = n >> tau
     r, k, _ = choose_params(w)
-    raw = apply_reduction(n, tau, partial(_mig_carries, r=r, k=k),
-                          name=f"linear{n}")
-    return prune_dead(raw)
+    return apply_reduction(n, tau, partial(_mig_carries, r=r, k=k),
+                           name=f"linear{n}")

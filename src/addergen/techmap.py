@@ -49,7 +49,6 @@ from .circuit import (
     OR,
     Circuit,
     CircuitBuilder,
-    prune_dead,
 )
 from .mig import build_mig_adder, choose_params
 from .reduction import _signal, apply_reduction, reduction_depth_for
@@ -239,6 +238,5 @@ def build_nandnor_adder(n: int) -> Circuit:
         remap = b.inline(mapped, leaves)
         return [(remap[o], p) for o, p in zip(mapped.output_ids, parities)]
 
-    raw = apply_reduction(n, tau, inner, style=NandNorStyle(),
-                          name=f"nandnor{n}")
-    return prune_dead(raw)
+    return apply_reduction(n, tau, inner, style=NandNorStyle(),
+                           name=f"nandnor{n}")

@@ -79,6 +79,16 @@ class TestBuilder:
         b.mark_output(g)
         assert b.build().consumer_counts()[g] == 1
 
+    def test_built_circuit_ignores_later_appends(self):
+        b = CircuitBuilder()
+        i0 = b.add_input()
+        i1 = b.add_input()
+        g = b.add_gate(AND, i0, i1)
+        c = b.build()
+        b.add_gate(NOT, g)
+        assert len(c) == len(c.consumer_counts()) == 3
+        assert c.consumer_counts()[g] == 0
+
     @pytest.mark.parametrize("nid", [1, -1])
     def test_mark_output_out_of_range(self, nid):
         b = CircuitBuilder()

@@ -9,6 +9,8 @@ and the hand tallies for the small frozen circuits follow the same
 pool/box/tap accounting as the implementation docstrings.
 """
 
+import hashlib
+
 import pytest
 
 from addergen.circuit import (
@@ -17,6 +19,7 @@ from addergen.circuit import (
     OR,
     CircuitBuilder,
     metrics,
+    prune_dead,
     validate,
 )
 from addergen.mig import (
@@ -27,6 +30,7 @@ from addergen.mig import (
     build_mig_adder,
     choose_params,
 )
+from addergen.netlist import dumps_netlist
 from addergen.semantics import verify_adder
 
 
@@ -163,8 +167,51 @@ FROZEN_ADDERS = [
     (64, 2, 3, 3099, 3920, 14),
 ]
 
+# sha256 of dumps_netlist(build_mig_adder(n, r, k, prune=False)): the raw
+# structure the closed size formulas describe, pinned node for node;
+# r = k = None takes the balanced default
+RAW_PINS = [
+    (8, 1, 3,
+     "9461eb225db8f38c20d3a2796a9d0bf02810c1a5c02dd71f6d6e43ec69e61e0f"),
+    (16, 2, 2,
+     "252f0c6dbed8c24ed688aef945a07513caa8e11ce9f3f18f2b14b57bcec2a0c7"),
+    (64, 2, 3,
+     "f5837c2ced831f20d98335f4f685e5173282e095cb03cdf0e26298893c3bbee5"),
+    (60, 3, 2,
+     "ca39e0dc4f1d02d315f45e83b9327d760245dafd1ae23dd78b215c8b34ffa193"),
+    (37, 1, 6,
+     "8fb352702b56b3d188849610d97359e25e2d5d58eb202462d349a09e0e426a0a"),
+    (100, None, None,
+     "a2dd61a1d8eb0c7d7fb35feca97c241770a532bcf43aea6ca36d1679e2d21135"),
+    (1024, None, None,
+     "9f316b6182da00068b3dd57f4458438556501c3f066439efb88343984afb6ff8"),
+]
+
+
+def _lean_grid():
+    """Every (r, k) with r*k <= 6 at widths 1, 2, 3, 2**(rk) - 1 and
+    2**(rk), plus the balanced default at 1..40, 100, 257 and 1000."""
+    grid = []
+    for r in range(1, 7):
+        for k in range(1, 6 // r + 1):
+            full = 1 << (r * k)
+            grid += [(n, r, k) for n in sorted({1, 2, 3, full - 1, full})
+                     if n <= full]
+    return grid + [(n, None, None) for n in [*range(1, 41), 100, 257, 1000]]
+
 
 class TestMigAdder:
+    @pytest.mark.parametrize("n, r, k", _lean_grid())
+    def test_lean_build_is_the_pruned_raw_structure(self, n, r, k):
+        lean = build_mig_adder(n, r, k)
+        pruned = prune_dead(build_mig_adder(n, r, k, prune=False))
+        assert lean._codes == pruned._codes
+        assert lean._f0 == pruned._f0
+        assert lean._f1 == pruned._f1
+        assert lean.input_ids == pruned.input_ids
+        assert lean.output_ids == pruned.output_ids
+        assert validate(lean) == []
+
     @pytest.mark.parametrize("n, r, k, psize, usize, depth", FROZEN_ADDERS)
     def test_frozen_structure(self, n, r, k, psize, usize, depth):
         pruned = build_mig_adder(n, r, k)
@@ -203,6 +250,11 @@ class TestMigAdder:
     def test_truncated_widths_stay_within_depth_bound(self, n):
         c = build_mig_adder(n, 2, 2)
         assert metrics(c).depth <= 2 * 2 + 2 * 2 + 2 + 1
+
+    @pytest.mark.parametrize("n, r, k, sha", RAW_PINS)
+    def test_raw_structure_pinned(self, n, r, k, sha):
+        text = dumps_netlist(build_mig_adder(n, r, k, prune=False))
+        assert hashlib.sha256(text.encode()).hexdigest() == sha
 
     def test_size_bound_formula_unpruned(self):
         for n, r, k in [(16, 2, 2), (64, 2, 3), (64, 3, 2), (8, 1, 3)]:

@@ -35,6 +35,7 @@ from addergen.reduction import (
     reduction_depth_for,
 )
 from addergen.semantics import verify_adder
+from addergen.techmap import build_nandnor_adder
 
 KIND_ORDER = ["input", "and", "or", "xor", "not", "buf", "nand", "nor"]
 
@@ -229,6 +230,17 @@ class TestLinearAdder:
             r, k, _ = choose_params(w)
             d_inner = metrics(build_mig_adder(w, r, k)).depth
             assert metrics(build_linear_adder(n)).depth <= d_inner + 4 * tau
+
+    @pytest.mark.parametrize(
+        "n, tau", [(1 << j, t) for j in range(1, 11) for t in range(j)])
+    def test_built_without_dead_gates(self, n, tau):
+        c = build_linear_adder(n, tau)
+        assert len(prune_dead(c)) == len(c)
+
+    @pytest.mark.parametrize("n", [1 << j for j in range(1, 11)])
+    def test_nandnor_built_without_dead_gates(self, n):
+        c = build_nandnor_adder(n)
+        assert len(prune_dead(c)) == len(c)
 
     def test_random_verification(self):
         c = build_linear_adder(256)
