@@ -225,83 +225,21 @@ def _windows(b: CircuitBuilder, xs, r: int, k: int, leaves):
     return taps, cur
 
 
-def _mig_carries(b: CircuitBuilder, pairs, r: int, k: int, lean=True):
-    """Emit the k-row generate-gate lattice onto a builder.
-
-    pairs[i] = (x, y) node ids of position i+1; returns carry ids
-    c_2..c_{w+1}.  Row l works over blocks of width 2**(r*(l-1)): columns
-    beyond one block boundary get a gate merging up to 2**r pooled block
-    carries, columns inside the first block re-pool their final value
-    through a box (or surrender it to the output on the last row).
-
-    lean=True emits only live gates: pools are cut to the takes that
-    reach an output, and a gate skips its lowest column's tap, which feeds
-    only its dead AND-suffix position; lean=False emits the raw structure.
-    """
-    w = len(pairs)
-    xs = [p[0] for p in pairs]
-    ys = [p[1] for p in pairs]
-    full = 1 << r
-    half = full >> 1
-
-    # Column c's carry pool on a row of block width delta serves the gates
-    # at columns c + m*delta > delta (m < 2**r), plus its own box or output
-    # if c <= delta: 1 + min(2**r - 1, (w - c) // delta) takes, two per
-    # copy.  Its tap serves the same gates bar those whose lowest column
-    # it is: all of them if c <= delta, else the one at m = 2**r - 1.
-    def copies(c, delta):
-        return (2 + min(full - 1, (w - c) // delta)) // 2 if lean else half
-
-    def leaves(c, lam):  # taps of level lam are read on row lam + 1
-        delta = 1 << (r * lam)
-        if not lean:
-            return full
-        return min(full - 1, (w - c) // delta + 1) if c > delta else 0
-
-    taps, _ = _windows(b, xs, r, k, leaves)
-    pools = {t: Pool(_replicate(b, ys[t - 1], half, False, copies(t, 1)))
-             for t in range(1, w + 1)}
-    carries = [None] * w
-    for l in range(1, k + 1):
-        delta = 1 << (r * (l - 1))
-        final = l == k
-        nxt = {}
-        for t in range(1, w + 1):
-            if t <= delta:
-                src = pools[t].take()
-                if final:
-                    carries[t - 1] = src
-                else:
-                    nxt[t] = Pool(_replicate(b, src, half, True,
-                                             copies(t, delta << r)))
-            else:
-                q = min(full, -(-t // delta))
-                cols = [t - (q - i) * delta for i in range(1, q + 1)]
-                gens = [pools[c].take() for c in cols]
-                props = [None] * lean + [taps[(c, l - 1)].take()
-                                         for c in cols[lean:]]
-                n_out = 1 if final else half
-                outs = _generate_gate(b, gens, props, n_out,
-                                      min(n_out, copies(t, delta << r)))
-                if final:
-                    carries[t - 1] = outs[0]
-                else:
-                    nxt[t] = Pool(outs)
-        pools = nxt
-    # the lowest carry is a plain copy of y_1; terminate it through the
-    # absorbing y-or-(x-and-y) form so x_1 keeps a consumer after pruning
-    carries[0] = lsb_carry(b, xs[0], carries[0])
-    return carries
-
-
 def build_mig_adder(n: int, r: int | None = None, k: int | None = None,
                     prune: bool = True):
     """Carry circuit over n positions built from multi-input generate gates.
 
     Parameters r (block merge width 2**r) and k (rows) default to the
     balanced choice; any n up to 2**(r*k) is built by column truncation.
+    Row l works over blocks of width 2**(r*(l-1)): columns beyond one
+    block boundary get a gate merging up to 2**r pooled block carries,
+    columns inside the first block re-pool their final value through a
+    box (or surrender it to the output on the last row).
+
     With prune=True (default) only live gates are emitted, the raw
-    structure's pruned form, and the result validates cleanly at fan-out
+    structure's pruned form: pools are cut to the takes that reach an
+    output, and a gate skips its lowest column's tap, which feeds only its
+    dead AND-suffix position.  The result validates cleanly at fan-out
     two; prune=False exposes the raw structure whose size the closed
     formulas describe.
     """
@@ -314,7 +252,58 @@ def build_mig_adder(n: int, r: int | None = None, k: int | None = None,
     if n < 1 or n > 1 << (r * k):
         raise ValueError(f"width {n} outside 1..2**(r*k)")
     b = CircuitBuilder(f"mig{n}-r{r}k{k}")
-    pairs = [(b.add_input(), b.add_input()) for _ in range(n)]
-    for cid in _mig_carries(b, pairs, r, k, lean=prune):
+    ids = [b.add_input() for _ in range(2 * n)]
+    xs, ys = ids[0::2], ids[1::2]
+    full = 1 << r
+    half = full >> 1
+
+    # Column c's carry pool on a row of block width delta serves the gates
+    # at columns c + m*delta > delta (m < 2**r), plus its own box or output
+    # if c <= delta: 1 + min(2**r - 1, (n - c) // delta) takes, two per
+    # copy.  Its tap serves the same gates bar those whose lowest column
+    # it is: all of them if c <= delta, else the one at m = 2**r - 1.
+    def copies(c, delta):
+        return (2 + min(full - 1, (n - c) // delta)) // 2 if prune else half
+
+    def leaves(c, lam):  # taps of level lam are read on row lam + 1
+        delta = 1 << (r * lam)
+        if not prune:
+            return full
+        return min(full - 1, (n - c) // delta + 1) if c > delta else 0
+
+    taps, _ = _windows(b, xs, r, k, leaves)
+    pools = {t: Pool(_replicate(b, ys[t - 1], half, False, copies(t, 1)))
+             for t in range(1, n + 1)}
+    carries = [None] * n
+    for l in range(1, k + 1):
+        delta = 1 << (r * (l - 1))
+        final = l == k
+        nxt = {}
+        for t in range(1, n + 1):
+            if t <= delta:
+                src = pools[t].take()
+                if final:
+                    carries[t - 1] = src
+                else:
+                    nxt[t] = Pool(_replicate(b, src, half, True,
+                                             copies(t, delta << r)))
+            else:
+                q = min(full, -(-t // delta))
+                cols = [t - (q - i) * delta for i in range(1, q + 1)]
+                gens = [pools[c].take() for c in cols]
+                props = [None] * prune + [taps[(c, l - 1)].take()
+                                          for c in cols[prune:]]
+                n_out = 1 if final else half
+                outs = _generate_gate(b, gens, props, n_out,
+                                      min(n_out, copies(t, delta << r)))
+                if final:
+                    carries[t - 1] = outs[0]
+                else:
+                    nxt[t] = Pool(outs)
+        pools = nxt
+    # the lowest carry is a plain copy of y_1; terminate it through the
+    # absorbing y-or-(x-and-y) form so x_1 keeps a consumer after pruning
+    carries[0] = lsb_carry(b, xs[0], carries[0])
+    for cid in carries:
         b.mark_output(cid)
     return b.build()

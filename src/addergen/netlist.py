@@ -122,8 +122,11 @@ def loads_netlist(text: str) -> NetlistFile:
             spec = AdderSpec(**raw_spec)
         except TypeError as e:
             raise ValueError(f"bad spec in header: {e}") from None
-        if not isinstance(spec.family, str) or not isinstance(spec.n, int):
+        # type(...) is int: a JSON true or false would pass isinstance
+        if not isinstance(spec.family, str) or type(spec.n) is not int:
             raise ValueError("bad spec in header: family/n types")
+        if any(v is not None and type(v) is not int for v in spec[2:]):
+            raise ValueError("bad spec in header: r/k/tau/seed types")
     codes, f0, f1 = array("b"), array("i"), array("i")
     inputs, outputs = [], []
     for ln, line in enumerate(lines[1:], start=2):

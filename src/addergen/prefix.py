@@ -266,19 +266,18 @@ def _liveness(g: PrefixGraph):
     return x_live, y_live
 
 
-def _expand_onto(b: CircuitBuilder, g: PrefixGraph, pair_ids):
-    """Emit the live gates of a prefix graph onto an existing builder.
-
-    pair_ids[i] holds the (x, y) node ids for position i+1, which may be
-    raw inputs or gates from an enclosing construction.  Returns the carry
-    ids c_2..c_{n+1}; the lowest carry is terminated through the absorbing
-    y-or-(x-and-y) form so the otherwise dead x_1 keeps a consumer.
-    """
+def expand_to_logic(g: PrefixGraph, name="") -> "Circuit":
+    """Turn a prefix graph into a gate-level carry circuit: 2n inputs in
+    position order, n carry outputs, and only the gates those carries
+    need (see _liveness).  The lowest carry is terminated through the
+    absorbing y-or-(x-and-y) form so the otherwise dead x_1 keeps a
+    consumer."""
+    b = CircuitBuilder(name or f"{g.name or 'prefix'}{g.n}")
     x_live, y_live = _liveness(g)
     xv = [None] * len(g.nodes)
     yv = [None] * len(g.nodes)
-    for i, v in enumerate(g.pairs):
-        xv[v.id], yv[v.id] = pair_ids[i]
+    for v in g.pairs:
+        xv[v.id], yv[v.id] = b.add_input(), b.add_input()
     for v in g.nodes:
         if v.kind == PAIR:
             continue
@@ -294,21 +293,8 @@ def _expand_onto(b: CircuitBuilder, g: PrefixGraph, pair_ids):
         if y_live[v.id]:
             inner = b.add_gate(AND, ux, yv[v.lower.id])
             yv[v.id] = b.add_gate(OR, yv[v.upper.id], inner)
-    carries = []
-    for i, v in enumerate(g.outputs, start=1):
-        if i == 1:
-            carries.append(lsb_carry(b, pair_ids[0][0], yv[v.id]))
-        else:
-            carries.append(yv[v.id])
-    return carries
-
-
-def expand_to_logic(g: PrefixGraph, name="") -> "Circuit":
-    """Turn a prefix graph into a gate-level carry circuit: 2n inputs in
-    position order, n carry outputs, and only the gates those carries
-    need (see _liveness)."""
-    b = CircuitBuilder(name or f"{g.name or 'prefix'}{g.n}")
-    pair_ids = [(b.add_input(), b.add_input()) for _ in range(g.n)]
-    for cid in _expand_onto(b, g, pair_ids):
+    carries = [yv[v.id] for v in g.outputs]
+    carries[0] = lsb_carry(b, xv[g.pairs[0].id], carries[0])
+    for cid in carries:
         b.mark_output(cid)
     return b.build()

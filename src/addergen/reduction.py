@@ -17,10 +17,12 @@ carry unchanged.  Every carry value therefore serves one correction per
 finer scale that needs it plus its own output marker; these consumers
 are fed through buffer chains so no node exceeds fan-out two.
 
-The arithmetic shape is fixed, but the gate vocabulary is pluggable: a
-style object supplies the combine / correction / low-carry forms and the
-repeater gate of its chains, letting an inverting-gate rebuild share this
-exact control flow.  Every carry travels as a (node, inverted) token:
+The inner core is a carry circuit of its own, copied once onto the
+coarsest pairs.  The arithmetic shape is fixed, but the gate vocabulary
+is pluggable: a style object supplies the combine / correction /
+low-carry forms, the repeater gate of its chains and the mapping of the
+core into its gates, letting an inverting-gate rebuild share this exact
+control flow.  Every carry travels as a (node, inverted) token:
 a NOT link flips the polarity of the outlets after it, a BUF link keeps
 it, and an output marker takes one NOT where its carry arrives inverted.
 
@@ -32,10 +34,9 @@ at a depth overhead of at most 4 * tau.
 from __future__ import annotations
 
 import math
-from functools import partial
 
-from .circuit import AND, BUF, NOT, OR, CircuitBuilder, FanoutChain
-from .mig import _mig_carries, choose_params
+from .circuit import AND, BUF, NOT, OR, Circuit, CircuitBuilder, FanoutChain
+from .mig import build_mig_adder
 
 
 class OrAndStyle:
@@ -44,6 +45,11 @@ class OrAndStyle:
     must deliver true-polarity carries."""
 
     repeater = BUF
+
+    def core(self, c: Circuit, tau: int):
+        """The inner core as this style inlines it, with output parities:
+        an AND/OR core is used as is."""
+        return c, (False,) * len(c.output_ids)
 
     def combine(self, b: CircuitBuilder, upper, lower):
         """Coarse (X, Y) pair from two adjacent finer pairs."""
@@ -88,23 +94,28 @@ def _carry_demand(m: int, n: int, tau: int) -> int:
     return count
 
 
-def apply_reduction(n: int, tau: int, inner_fn, style=None, name=""):
-    """Carry circuit over n positions: tau halving steps around inner_fn.
+def apply_reduction(n: int, tau: int, core: Circuit, style=None, name=""):
+    """Carry circuit over n positions: tau halving steps around a core.
 
-    inner_fn(b, coarse_pairs) must return one carry per coarse position,
-    lowest first, each a node id or a (node, inverted) pair, with the
-    lowest already safe to consume (the cores here terminate it through
-    an absorbing form themselves).
+    core is a carry circuit over the n >> tau coarse positions: inputs
+    x, y per position and one carry output per position, lowest first,
+    with the lowest already safe to consume (the cores here terminate it
+    through an absorbing form themselves).  style.core maps it into the
+    style's gates, and the mapped core is inlined onto the coarsest pairs.
 
     The wrapper adds no dead gates of its own, so the result has none
-    when the inner core emits only live gates, as the cores here do.
-    With tau = 0 this is exactly the inner core plus output markers.
+    when the core has none, as the cores here do.  With tau = 0 this is
+    exactly the core plus output markers.
     """
     style = style or OrAndStyle()
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     if n % (1 << tau):
         raise ValueError(f"width {n} not divisible by 2**{tau}")
+    mapped, parities = style.core(core, tau)
+    if len(mapped.output_ids) != n >> tau:
+        raise ValueError(f"core has {len(mapped.output_ids)} carries, "
+                         f"need {n >> tau}")
     b = CircuitBuilder(name or f"reduced{n}-t{tau}")
 
     levels = [[(b.add_input(), b.add_input()) for _ in range(n)]]
@@ -114,9 +125,8 @@ def apply_reduction(n: int, tau: int, inner_fn, style=None, name=""):
                        for i in range(len(prev) // 2)])
 
     # levels are popped coarsest first, so each is freed once its scale is done
-    tokens = inner_fn(b, levels.pop())
-    if len(tokens) != n >> tau:
-        raise ValueError("inner core returned wrong carry count")
+    remap = b.inline(mapped, [v for x, y in levels.pop()
+                              for v in (_signal(x)[0], y)])
 
     # consumers are counted once, here: inner carries have what the core gave
     # them, each scale's lowest y its coarser combine from halving; later
@@ -129,8 +139,8 @@ def apply_reduction(n: int, tau: int, inner_fn, style=None, name=""):
         chains[m] = _chain(b, token, used, _carry_demand(m, n, tau),
                            style.repeater)
 
-    for i, token in enumerate(tokens, start=1):
-        chain(i << tau, _signal(token))
+    for i, (o, p) in enumerate(zip(mapped.output_ids, parities), start=1):
+        chain(i << tau, (remap[o], p))
     for s in range(tau - 1, -1, -1):
         level = levels.pop()
         chain(1 << s, (level[0][1], False) if s
@@ -171,7 +181,5 @@ def build_linear_adder(n: int, tau=None):
         ld = n.bit_length() - 1
         if not 0 <= tau <= ld - 1:
             raise ValueError(f"tau must lie in [0, {ld - 1}] for width {n}")
-    w = n >> tau
-    r, k, _ = choose_params(w)
-    return apply_reduction(n, tau, partial(_mig_carries, r=r, k=k),
+    return apply_reduction(n, tau, build_mig_adder(n >> tau),
                            name=f"linear{n}")

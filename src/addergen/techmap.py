@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import compress
 
 from .circuit import (
     AND,
@@ -50,7 +51,7 @@ from .circuit import (
     Circuit,
     CircuitBuilder,
 )
-from .mig import build_mig_adder, choose_params
+from .mig import build_mig_adder
 from .reduction import _signal, apply_reduction, reduction_depth_for
 
 
@@ -69,61 +70,54 @@ def levelize(c: Circuit, input_rows=None) -> LevelizedCircuit:
     c.input_ids) instead of placing all inputs on row 0.
     """
     n = len(c)
-    lvl = [0] * n
+    codes, f0, f1 = c._codes, c._f0, c._f1
+    lvl = [0] * (n + 1)  # spare slot -1 stands in for the absent fanin -1
     if input_rows is not None:
         if len(input_rows) != len(c.input_ids):
             raise ValueError("need one row per input")
         for nid, row in zip(c.input_ids, input_rows):
             lvl[nid] = row
-    consumers = [[] for _ in range(n)]
-    for nid in range(n):
-        if c.is_input(nid):
-            continue
-        fs = c.fanins(nid)
-        lvl[nid] = 1 + max(lvl[f] for f in fs)
-        for f in fs:
-            consumers[f].append(nid)
+    for nid in compress(range(n), codes):
+        lvl[nid] = 1 + max(lvl[f0[nid]], lvl[f1[nid]])
     # one reverse slack pass: drop every non-output gate to just above its
-    # earliest consumer (consumers have higher ids, hence settled levels);
+    # earliest consumer row, final by then since consumers have higher ids;
     # outputs stay put so their rows equal their original depths
     pinned = set(c.output_ids)
+    top = max(lvl) + 1
+    first = [top] * (n + 1)
     for nid in range(n - 1, -1, -1):
-        if c.is_input(nid) or nid in pinned or not consumers[nid]:
+        if not codes[nid]:
             continue
-        lvl[nid] = min(lvl[x] for x in consumers[nid]) - 1
+        if first[nid] < top and nid not in pinned:
+            lvl[nid] = first[nid] - 1
+        for f in (f0[nid], f1[nid]):
+            first[f] = min(first[f], lvl[nid])
 
     b = CircuitBuilder(c.name)
-    remap = {}
-    newlvl = {}
-    chain = {}
+    remap = [-1] * n
+    rows = []  # row of each node of the result
+    chains = {}  # source -> its copies on rows lvl[src], lvl[src] + 1, ...
 
     for nid in c.input_ids:
         remap[nid] = b.add_input()
-        newlvl[remap[nid]] = lvl[nid]
+        rows.append(lvl[nid])
 
     def alias_at(src: int, row: int) -> int:
         """The (shared) copy of src's signal sitting on `row`."""
-        cur = remap[src]
-        for rr in range(lvl[src] + 1, row + 1):
-            key = (src, rr)
-            nxt = chain.get(key)
-            if nxt is None:
-                nxt = b.add_gate(BUF, cur)
-                chain[key] = nxt
-                newlvl[nxt] = rr
-            cur = nxt
-        return cur
+        chain = chains.setdefault(src, [remap[src]])
+        while len(chain) <= row - lvl[src]:
+            chain.append(b.add_gate(BUF, chain[-1]))
+            rows.append(lvl[src] + len(chain) - 1)
+        return chain[row - lvl[src]]
 
-    order = sorted((nid for nid in range(n) if not c.is_input(nid)),
-                   key=lambda nid: (lvl[nid], nid))
-    for nid in order:
+    # a stable sort keeps id order within a row
+    for nid in sorted(compress(range(n), codes), key=lvl.__getitem__):
         fs = tuple(alias_at(f, lvl[nid] - 1) for f in c.fanins(nid))
         remap[nid] = b.add_gate(c.kind(nid), *fs)
-        newlvl[remap[nid]] = lvl[nid]
+        rows.append(lvl[nid])
     for oid in c.output_ids:
         b.mark_output(remap[oid])
-    built = b.build()
-    return LevelizedCircuit(built, tuple(newlvl[i] for i in range(len(built))))
+    return LevelizedCircuit(b.build(), tuple(rows))
 
 
 _ODD_ROW = {AND: NAND, OR: NOR, BUF: NOT}
@@ -211,6 +205,17 @@ class NandNorStyle:
     def lowest_carry(self, b: CircuitBuilder, x1, y1):
         return b.add_gate(NOT, y1), True
 
+    def core(self, c: Circuit, tau: int):
+        """The AND/OR core levelized and mapped, with output parities.
+
+        The core is skewed onto the rows at which the halving levels
+        deliver its inputs: propagates at depth tau (inverted there when
+        tau is odd, matching odd-row polarity), generates at depth 2*tau.
+        """
+        skew = [tau if i % 2 == 0 else 2 * tau
+                for i in range(len(c.input_ids))]
+        return _demorgan(levelize(c, input_rows=skew))
+
 
 def build_nandnor_adder(n: int) -> Circuit:
     """Linear-size fan-out-two carry circuit over {NAND, NOR, NOT}.
@@ -220,23 +225,5 @@ def build_nandnor_adder(n: int) -> Circuit:
     most one level deeper.
     """
     tau = reduction_depth_for(n)
-    w = n >> tau
-    r, k, _ = choose_params(w)
-    core = build_mig_adder(w, r, k)
-    # skew the core onto the rows at which the halving levels deliver
-    # its inputs: propagates at depth tau (inverted there when tau is
-    # odd, matching odd-row polarity), generates at depth 2*tau
-    skew = [tau if i % 2 == 0 else 2 * tau
-            for i in range(len(core.input_ids))]
-    mapped, parities = _demorgan(levelize(core, input_rows=skew))
-
-    def inner(b, coarse_pairs):
-        leaves = []
-        for pair in coarse_pairs:
-            xn, _ = _signal(pair[0])
-            leaves += [xn, pair[1]]
-        remap = b.inline(mapped, leaves)
-        return [(remap[o], p) for o, p in zip(mapped.output_ids, parities)]
-
-    return apply_reduction(n, tau, inner, style=NandNorStyle(),
+    return apply_reduction(n, tau, build_mig_adder(n >> tau), NandNorStyle(),
                            name=f"nandnor{n}")

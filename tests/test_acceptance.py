@@ -18,7 +18,9 @@ from addergen.mig import (
     build_augmented_and_prefix, build_generate_gate, build_mig_adder,
 )
 from addergen.netlist import dumps_netlist, loads_netlist
-from addergen.prefix import kogge_stone, sklansky
+from addergen.prefix import (
+    expand_to_logic, kogge_stone, serial_prefix, sklansky,
+)
 from addergen.reduction import apply_reduction
 from addergen.semantics import (
     _grid_chunks, block_signals, prefix_op, simulate_packed, verify_adder,
@@ -284,12 +286,8 @@ def test_criterion_8_property_suites(acceptance):
     # reduction steps leave no dead propagate logic: around an inner core
     # that consumes its whole interface, pruning the raw wrapper output is
     # a no-op, and the inner adder itself exposes carries only
-    def wrapped_serial(b, pairs):
-        from addergen.prefix import serial_prefix, _expand_onto
-        return _expand_onto(b, serial_prefix(len(pairs)), pairs)
-
     for n, tau in ((8, 1), (16, 2), (64, 3)):
-        c = apply_reduction(n, tau, wrapped_serial)
+        c = apply_reduction(n, tau, expand_to_logic(serial_prefix(n >> tau)))
         if prune_dead(c).num_gates != c.num_gates:
             failures.append(f"dead gates in reduction n={n},tau={tau}")
         if len(build_mig_adder(n >> tau).output_ids) != n >> tau:

@@ -46,3 +46,11 @@ def test_one_pair_has_equal_quartiles():
                                         ("7", [7])])
 def test_seed_ranges(text, seeds):
     assert bench_pairs.parse_seeds(text) == seeds
+
+
+def test_working_tree_copied_like_a_revision(tmp_path):
+    tree = bench_pairs.checkout(".", tmp_path)
+    assert tree.is_relative_to(tmp_path)
+    assert (tree / "perfbench" / "run.py").is_file()
+    assert (tree / "src" / "addergen" / "__init__.py").is_file()
+    assert not (tree / ".git").exists()

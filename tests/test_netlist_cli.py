@@ -125,6 +125,11 @@ class TestNetlistFormat:
         ('"seed":null', '"seed":null,"bogus":1', "bad spec in header"),
         ('"n":2,', "", "bad spec in header"),
         ('"family":"ripple"', '"family":5', "bad spec in header: family/n"),
+        ('"n":2,', '"n":true,', "bad spec in header: family/n"),
+        ('"r":null', '"r":"zz"', "bad spec in header: r/k/tau/seed"),
+        ('"k":null', '"k":false', "bad spec in header: r/k/tau/seed"),
+        ('"tau":null', '"tau":1.5', "bad spec in header: r/k/tau/seed"),
+        ('"seed":null', '"seed":[1]', "bad spec in header: r/k/tau/seed"),
     ])
     def test_bad_spec_rejected(self, old, new, message):
         spec = AdderSpec("ripple", 2)

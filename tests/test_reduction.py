@@ -19,14 +19,15 @@ import pytest
 from addergen.circuit import (
     AND,
     BUF,
+    Circuit,
     CircuitBuilder,
     metrics,
     prune_dead,
     validate,
 )
-from addergen.mig import _mig_carries, build_mig_adder, choose_params
+from addergen.mig import build_mig_adder, choose_params
 from addergen.netlist import dumps_netlist
-from addergen.prefix import _expand_onto, brent_kung, expand_to_logic, serial_prefix
+from addergen.prefix import brent_kung, expand_to_logic, serial_prefix
 from addergen.reduction import (
     _carry_demand,
     _chain,
@@ -40,23 +41,14 @@ from addergen.techmap import build_nandnor_adder
 KIND_ORDER = ["input", "and", "or", "xor", "not", "buf", "nand", "nor"]
 
 
-def serial_inner(b, pairs):
-    return _expand_onto(b, serial_prefix(len(pairs)), pairs)
+def serial_inner(w):
+    """Serial-prefix inner core over w coarse positions."""
+    return expand_to_logic(serial_prefix(w))
 
 
-def bk_inner(b, pairs):
-    return _expand_onto(b, brent_kung(len(pairs)), pairs)
-
-
-def inner_histogram(inner_fn, w):
-    """Gate-kind histogram of an inner core built standalone on w pairs."""
-    b = CircuitBuilder()
-    pairs = [(b.add_input(), b.add_input()) for _ in range(w)]
-    inner_fn(b, pairs)
-    hist = Counter()
-    for nid in range(2 * w, len(b)):
-        hist[KIND_ORDER[b._codes[nid]]] += 1
-    return hist
+def bk_inner(w):
+    """Brent-Kung inner core over w coarse positions."""
+    return expand_to_logic(brent_kung(w))
 
 
 class TestCarryDemand:
@@ -93,7 +85,7 @@ class TestCarryChain:
 class TestReductionStructure:
     def test_zero_steps_is_the_inner_core(self):
         base = metrics(expand_to_logic(brent_kung(8)))
-        red = metrics(apply_reduction(8, 0, bk_inner))
+        red = metrics(apply_reduction(8, 0, bk_inner(8)))
         assert (red.size, red.depth, red.max_fanout) == (
             base.size, base.depth, base.max_fanout)
 
@@ -103,15 +95,16 @@ class TestReductionStructure:
 
     @pytest.mark.parametrize("n, tau, size, depth", FROZEN)
     def test_frozen_serial_wrapping(self, n, tau, size, depth):
-        c = apply_reduction(n, tau, serial_inner)
+        c = apply_reduction(n, tau, serial_inner(n >> tau))
         m = metrics(c)
         assert (m.size, m.depth, m.max_fanout) == (size, depth, 2)
 
     @pytest.mark.parametrize("n, tau", [(8, 1), (16, 2), (32, 3), (64, 2)])
     def test_layer_gate_accounting(self, n, tau):
         w = n >> tau
-        whole = Counter(metrics(apply_reduction(n, tau, serial_inner)).histogram)
-        layer = whole - inner_histogram(serial_inner, w)
+        core = serial_inner(w)
+        whole = Counter(metrics(apply_reduction(n, tau, core)).histogram)
+        layer = whole - Counter(metrics(core).histogram)
         assert layer["and"] == 3 * (n - w) - tau
         assert layer["or"] == 2 * (n - w) - tau
         assert layer["buf"] <= n // 2
@@ -119,25 +112,17 @@ class TestReductionStructure:
 
     @pytest.mark.parametrize("n, tau", [(8, 1), (8, 2), (16, 2), (12, 2)])
     def test_wrapper_adds_no_dead_gates(self, n, tau):
-        c = apply_reduction(n, tau, serial_inner)
+        c = apply_reduction(n, tau, serial_inner(n >> tau))
         assert not validate(c)
         assert prune_dead(c).num_gates == c.num_gates
 
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError, match="^tau must be nonnegative$"):
-            apply_reduction(8, -1, serial_inner)
+            apply_reduction(8, -1, serial_inner(8))
 
     def test_width_must_divide(self):
         with pytest.raises(ValueError):
-            apply_reduction(6, 2, serial_inner)
-
-    @pytest.mark.parametrize("n, tau", [(8, 1), (16, 2), (64, 3)])
-    def test_core_tokens_as_pairs_or_bare_ids(self, n, tau):
-        def pair_inner(b, pairs):
-            return [(c, False) for c in serial_inner(b, pairs)]
-
-        assert (dumps_netlist(apply_reduction(n, tau, pair_inner))
-                == dumps_netlist(apply_reduction(n, tau, serial_inner)))
+            apply_reduction(6, 2, serial_inner(1))
 
     # sha256 of the netlist text; most inner carries of these cores arrive
     # with one consumer already, which the wrapper must count before it
@@ -162,30 +147,29 @@ class TestReductionStructure:
     @pytest.mark.parametrize("core, n, tau, sha", PINNED, ids=[
         f"{core.__name__}-{n}-{tau}" for core, n, tau, _ in PINNED])
     def test_pinned_netlists(self, core, n, tau, sha):
-        text = dumps_netlist(apply_reduction(n, tau, core))
+        text = dumps_netlist(apply_reduction(n, tau, core(n >> tau)))
         assert hashlib.sha256(text.encode()).hexdigest() == sha
 
     def test_inner_carry_count_checked(self):
-        def bad_inner(b, pairs):
-            return serial_inner(b, pairs)[:-1]
-
-        with pytest.raises(ValueError):
-            apply_reduction(8, 1, bad_inner)
+        c = serial_inner(4)
+        bad = Circuit(c.name, c._codes, c._f0, c._f1, c.input_ids,
+                      c.output_ids[:-1])
+        with pytest.raises(ValueError, match="^core has 3 carries, need 4$"):
+            apply_reduction(8, 1, bad)
 
 
 class TestReductionCorrectness:
     @pytest.mark.parametrize(
         "n, tau", [(4, 1), (8, 1), (8, 2), (8, 3), (6, 1), (12, 2), (10, 1)])
     def test_exhaustive_serial_core(self, n, tau):
-        c = apply_reduction(n, tau, serial_inner)
+        c = apply_reduction(n, tau, serial_inner(n >> tau))
         assert verify_adder(c, n, mode="exhaustive").ok
 
     @pytest.mark.parametrize("n, tau", [(8, 1), (8, 2)])
     def test_exhaustive_mig_core(self, n, tau):
         w = n >> tau
         r, k, _ = choose_params(w)
-        c = prune_dead(apply_reduction(
-            n, tau, lambda b, p: _mig_carries(b, p, r, k)))
+        c = prune_dead(apply_reduction(n, tau, build_mig_adder(w, r, k)))
         assert not validate(c)
         assert verify_adder(c, n, mode="exhaustive").ok
         assert metrics(c).max_fanout == 2

@@ -7,7 +7,8 @@ Usage, from the repository root:
         --seconds 20 --out BENCH_5.json
 
 Each side is a `git archive` of its revision unpacked into a temporary
-directory; `--change .` runs the working tree as it is instead.  For every
+directory; `--change .` copies the working tree's files there instead, so
+both sides run at the same directory depth.  For every
 seed and workload, `perfbench/run.py` runs once on each side, and the side
 that runs first alternates from pair to pair.  The JSON written to --out
 holds every run's metrics and, per workload and metric, both sides' values,
@@ -23,6 +24,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -40,15 +42,25 @@ def parse_seeds(text):
 
 
 def checkout(rev, into):
-    """The directory holding rev's files: the working tree for ".", else
-    a `git archive` of rev unpacked under into."""
+    """The directory into/tree holding rev's files: a `git archive` of rev
+    unpacked, or for "." a copy of the working tree's files, tracked or
+    untracked but not ignored."""
+    tree = into / "tree"
     if rev == ".":
-        return ROOT
+        listed = subprocess.run(
+            ["git", "-C", str(ROOT), "ls-files", "-z", "--cached", "--others",
+             "--exclude-standard"],
+            stdout=subprocess.PIPE, check=True).stdout.decode()
+        for name in filter(None, listed.split("\0")):
+            src = ROOT / name
+            if src.is_file():  # skips paths deleted from the working tree
+                (tree / name).parent.mkdir(parents=True, exist_ok=True)
+                shutil.copy2(src, tree / name)
+        return tree
     into.mkdir(parents=True)
     tar = into / "src.tar"
     subprocess.run(["git", "-C", str(ROOT), "archive", "-o", str(tar), rev],
                    check=True)
-    tree = into / "tree"
     with tarfile.open(tar) as tf:
         tf.extractall(tree, filter="data")
     tar.unlink()
