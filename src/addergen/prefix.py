@@ -5,12 +5,12 @@ by (x_hi, y_hi) ∘ (x_lo, y_lo) = (x_hi and x_lo, y_hi or (x_hi and y_lo)),
 and the carry out of positions 1..i is the y-component of the fold over that
 range.  A prefix graph fixes, for every output range [1, i], a parenthesis
 structure over the fold; the shape alone determines depth, size, and fan-out
-once each combine node expands to at most three gates.
+once each combine node expands to at most three gates (two where nothing
+reads its x-component).
 
 Graph node kinds:
   pair      an input position carrying (x_i, y_i)
-  op        a full combine producing both components
-  reduced   a combine whose x-component is never consumed (two gates)
+  op        a combine producing both components
   repeater  a buffered copy used to spread fan-out
 
 Four classical shapes are provided: the serial chain, the minimum-depth /
@@ -26,7 +26,6 @@ from .reduction import _carry_demand
 
 PAIR = "pair"
 OP = "op"
-REDUCED = "reduced"
 REPEATER = "repeater"
 
 
@@ -73,11 +72,10 @@ class PrefixGraph:
             self.uses[lower.id] += 1
         return node
 
-    def op(self, upper, lower, reduced=False):
+    def op(self, upper, lower):
         if upper.s != lower.t + 1:
             raise ValueError(f"ranges do not concatenate: {upper} over {lower}")
-        return self._new(REDUCED if reduced else OP,
-                         lower.s, upper.t, upper, lower)
+        return self._new(OP, lower.s, upper.t, upper, lower)
 
     def repeater(self, src):
         return self._new(REPEATER, src.s, src.t, src)
@@ -190,12 +188,11 @@ def brent_kung(n) -> PrefixGraph:
     prefixes, then corrections peel back down, each combining one reduction
     node with an already-finished prefix drawn through a repeater chain.
 
-    Corrections are never consumed as the upper operand and never need
-    their x-component, so they are emitted as reduced nodes.  Each chain
-    serves its corrections largest-stride-first — the order the descending
-    correction phases consume them — and its output marker last.  This is
-    the reduction wrapper taken to tau = ld n, so chains are sized by its
-    demand count.
+    Corrections are never the upper operand of a combine, so expansion
+    emits no x gate for them.  Each chain serves its corrections
+    largest-stride-first — the order the descending correction phases
+    consume them — and its output marker last.  This is the reduction
+    wrapper taken to tau = ld n, so chains are sized by its demand count.
     """
     L = _ld(n)
     g = PrefixGraph(n, "brent-kung")
@@ -219,8 +216,7 @@ def brent_kung(n) -> PrefixGraph:
         stride = 1 << s
         for j in range(3, n // stride + 1, 2):
             m = j * stride
-            P[m] = g.op(levels[s][j - 1], chains[m - stride].take(),
-                        reduced=True)
+            P[m] = g.op(levels[s][j - 1], chains[m - stride].take())
             if s >= 1:
                 chains[m] = chain(m)
     for m in range(1, n + 1):
@@ -243,7 +239,9 @@ def _liveness(g: PrefixGraph):
     where a value serves as the upper operand of a live combine."""
     x_live = [False] * len(g.nodes)
     y_live = [False] * len(g.nodes)
-    for out in g.outputs:
+    for i, out in enumerate(g.outputs, start=1):
+        if out is None:
+            raise ValueError(f"output {i} not set")
         y_live[out.id] = True
     for v in reversed(g.nodes):
         if v.kind == PAIR:
@@ -254,8 +252,6 @@ def _liveness(g: PrefixGraph):
             if x_live[v.id]:
                 x_live[v.upper.id] = True
             continue
-        if v.kind == REDUCED and x_live[v.id]:
-            raise ValueError(f"x-component of reduced node requested: {v}")
         if y_live[v.id]:
             x_live[v.upper.id] = True
             y_live[v.upper.id] = True
@@ -288,7 +284,7 @@ def expand_to_logic(g: PrefixGraph, name="") -> "Circuit":
                 yv[v.id] = b.add_gate(BUF, yv[v.upper.id])
             continue
         ux = xv[v.upper.id]
-        if v.kind == OP and x_live[v.id]:
+        if x_live[v.id]:
             xv[v.id] = b.add_gate(AND, ux, xv[v.lower.id])
         if y_live[v.id]:
             inner = b.add_gate(AND, ux, yv[v.lower.id])

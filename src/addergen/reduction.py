@@ -19,12 +19,12 @@ are fed through buffer chains so no node exceeds fan-out two.
 
 The inner core is a carry circuit of its own, copied once onto the
 coarsest pairs.  The arithmetic shape is fixed, but the gate vocabulary
-is pluggable: a style object supplies the combine / correction /
-low-carry forms, the repeater gate of its chains and the mapping of the
-core into its gates, letting an inverting-gate rebuild share this exact
-control flow.  Every carry travels as a (node, inverted) token:
-a NOT link flips the polarity of the outlets after it, a BUF link keeps
-it, and an output marker takes one NOT where its carry arrives inverted.
+is pluggable: a style object supplies the combine and correction forms,
+the repeater gate of its chains and the mapping of the core into its
+gates, letting an inverting-gate rebuild share this exact control flow.
+Every carry travels as a (node, inverted) token: a NOT link flips the
+polarity of the outlets after it, a BUF link keeps it, and an output
+marker takes one NOT where its carry arrives inverted.
 
 Cost of the wrapper, beyond the inner core: 3 gates per coarse pair,
 2 per correction, and at most ~n/2 chain buffers — under 5.5n total —
@@ -62,24 +62,22 @@ class OrAndStyle:
         """Carry across an odd block: y or (x and carry-in)."""
         return b.add_gate(OR, y, b.add_gate(AND, x, carry[0])), False
 
-    def lowest_carry(self, b: CircuitBuilder, x1, y1):
-        """Token for the carry out of position 1 (= y_1, buffered so the
-        output marker never lands on a raw input)."""
-        return b.add_gate(BUF, y1), False
-
 
 def _signal(x):
     """Normalize a wire reference to (node, inverted)."""
     return x if isinstance(x, tuple) else (x, False)
 
 
+def _link(b: CircuitBuilder, token, repeater: str):
+    """One repeater gate on a carry token, flipping it for NOT.  Chains
+    grow by links; the lowest carry is one link on y_1, off the raw input."""
+    return b.add_gate(repeater, token[0]), token[1] ^ (repeater == NOT)
+
+
 def _chain(b: CircuitBuilder, token, used: int, total: int, repeater: str):
     """FanoutChain serving total consumers of a (node, inverted) carry
-    whose node already has used consumers, through repeater gates; a NOT
-    link flips the outlets' polarity."""
-    flip = repeater == NOT
-    return FanoutChain(token, used, total,
-                       lambda t: (b.add_gate(repeater, t[0]), t[1] ^ flip))
+    whose node already has used consumers, through repeater links."""
+    return FanoutChain(token, used, total, lambda t: _link(b, t, repeater))
 
 
 def _carry_demand(m: int, n: int, tau: int) -> int:
@@ -143,8 +141,8 @@ def apply_reduction(n: int, tau: int, core: Circuit, style=None, name=""):
         chain(i << tau, (remap[o], p))
     for s in range(tau - 1, -1, -1):
         level = levels.pop()
-        chain(1 << s, (level[0][1], False) if s
-              else style.lowest_carry(b, *level[0]))
+        lowest = (level[0][1], False)
+        chain(1 << s, _link(b, lowest, style.repeater) if s == 0 else lowest)
         for j in range(3, (n >> s) + 1, 2):
             carry_in = chains[(j - 1) << s].take()
             chain(j << s, style.correction(b, *level[j - 1], carry_in))

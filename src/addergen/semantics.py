@@ -136,6 +136,9 @@ def simulate_packed(c: Circuit, input_words, width):
 def simulate(c: Circuit, assignment: dict) -> dict:
     """Single-pattern evaluation; maps every input id to a bit, returns
     output id -> bit."""
+    for nid in c.input_ids:
+        if nid not in assignment:
+            raise ValueError(f"input {nid} missing from the assignment")
     words = [assignment[nid] & 1 for nid in c.input_ids]
     outs = simulate_packed(c, words, 1)
     return dict(zip(c.output_ids, outs))

@@ -202,9 +202,6 @@ class NandNorStyle:
         return b.add_gate(
             NAND, b.add_gate(NAND, xtrue, cn), b.add_gate(NOT, y)), False
 
-    def lowest_carry(self, b: CircuitBuilder, x1, y1):
-        return b.add_gate(NOT, y1), True
-
     def core(self, c: Circuit, tau: int):
         """The AND/OR core levelized and mapped, with output parities.
 

@@ -1,4 +1,4 @@
-"""The summary statistics of tools/bench_pairs.py."""
+"""tools/bench_pairs.py: run schedule, checkouts, summary statistics."""
 
 import importlib.util
 from pathlib import Path
@@ -54,3 +54,22 @@ def test_working_tree_copied_like_a_revision(tmp_path):
     assert (tree / "perfbench" / "run.py").is_file()
     assert (tree / "src" / "addergen" / "__init__.py").is_file()
     assert not (tree / ".git").exists()
+
+
+def test_schedule_alternates_first_side():
+    firsts = [bench_pairs.schedule(i)[0][0] for i in range(4)]
+    assert firsts == ["parent", "change", "parent", "change"]
+
+
+@pytest.mark.parametrize("start", range(6))
+def test_schedule_balances_directories(start):
+    window = [bench_pairs.schedule(i) for i in range(start, start + 4)]
+    for side in bench_pairs.SIDES:
+        dirs = sorted(where[side] for _, where in window)
+        assert dirs == ["a", "a", "b", "b"]
+        assert sum(order[0] == side for order, _ in window) == 2
+    for order, where in window:
+        assert sorted(order) == sorted(bench_pairs.SIDES)
+        assert where["parent"] != where["change"]
+    # equal depth and name length: the two trees differ only in place
+    assert len({len(d) for d in bench_pairs.DIRS}) == 1

@@ -5,7 +5,7 @@ import pytest
 
 from addergen.circuit import metrics, validate
 from addergen.prefix import (
-    OP, PAIR, REDUCED, REPEATER, PrefixGraph,
+    OP, PAIR, REPEATER, PrefixGraph,
     brent_kung, expand_to_logic, kogge_stone, serial_prefix, sklansky,
 )
 from addergen.semantics import verify_adder
@@ -94,8 +94,7 @@ class TestPrefixNumbers:
 
     def test_brent_kung_node_mix(self):
         c = brent_kung(16).counts()
-        assert c[OP] == 15            # halving reduction
-        assert c[REDUCED] == 11       # corrections: n - ld n - 1
+        assert c[OP] == 26       # 15 halving, 11 corrections (n - ld n - 1)
         assert c[REPEATER] == 7       # distribution chains
         assert c[PAIR] == 16
 
@@ -170,18 +169,29 @@ class TestExpansion:
         assert (m.size, m.histogram["buf"]) == (7, 3)
         assert verify_adder(c, 2, mode="exhaustive").ok
 
-    def test_reduced_node_as_upper_operand_rejected(self):
-        # a reduced node drops its x component, so a live combine cannot
-        # take it as the upper operand
+    def test_op_as_upper_operand_keeps_its_x(self):
+        # op(p3, p2) is the upper operand of output 3, so its x gate is
+        # live; the x gate of output 2's op is read by nothing and dropped
         g = PrefixGraph(3)
         p1, p2, p3 = g.pairs
-        r = g.op(p3, p2, reduced=True)
+        u = g.op(p3, p2)
         g.set_output(1, p1)
         g.set_output(2, g.op(p2, p1))
-        g.set_output(3, g.op(r, p1))
-        with pytest.raises(ValueError, match=(
-                r"^x-component of reduced node requested: "
-                r"<reduced\[2,3\]#3>$")):
+        g.set_output(3, g.op(u, p1))
+        c = expand_to_logic(g)
+        assert validate(c) == []
+        m = metrics(c)
+        assert m.size == 10
+        assert m.histogram == {"and": 5, "or": 4, "buf": 1}
+        assert verify_adder(c, 3, mode="exhaustive").ok
+
+    def test_unset_output_rejected(self):
+        g = PrefixGraph(3)
+        g.set_output(2, g.op(g.pairs[1], g.pairs[0]))
+        with pytest.raises(ValueError, match="^output 1 not set$"):
+            expand_to_logic(g)
+        g.set_output(1, g.pairs[0])
+        with pytest.raises(ValueError, match="^output 3 not set$"):
             expand_to_logic(g)
 
     def test_brent_kung_logic_depth_bound(self):

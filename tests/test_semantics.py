@@ -133,6 +133,16 @@ class TestPackedSimulation:
         with pytest.raises(ValueError, match="^input word count mismatch$"):
             simulate_packed(tiny_carry2(), [0, 0, 0], 1)
 
+    def test_missing_input_named(self):
+        c = tiny_carry2()
+        assert c.input_ids == (0, 1, 2, 3)
+        with pytest.raises(ValueError,
+                           match="^input 0 missing from the assignment$"):
+            simulate(c, {})
+        with pytest.raises(ValueError,
+                           match="^input 2 missing from the assignment$"):
+            simulate(c, {0: 1, 1: 0, 3: 1})
+
     def test_packed_ripple_matches_scalar_lanes(self):
         rng = random.Random(2)
         n, width = 6, 37

@@ -7,11 +7,15 @@ Usage, from the repository root:
         --seconds 20 --out BENCH_5.json
 
 Each side is a `git archive` of its revision unpacked into a temporary
-directory; `--change .` copies the working tree's files there instead, so
-both sides run at the same directory depth.  For every
-seed and workload, `perfbench/run.py` runs once on each side, and the side
-that runs first alternates from pair to pair.  The JSON written to --out
-holds every run's metrics and, per workload and metric, both sides' values,
+directory; `--change .` copies the working tree's files there instead.
+The two trees sit in <tmp>/a/tree and <tmp>/b/tree, of equal depth and
+name length, because where a tree sits can move a run's peak_rss_mib.
+For every seed and workload, `perfbench/run.py` runs once on each side.
+The side that runs first alternates from pair to pair, and the trees
+trade directories every two pairs, so any four consecutive pairs run each
+side twice from each directory (see schedule).  The JSON written to --out
+holds every run's metrics and the directory each side ran from ("dirs"),
+and, per workload and metric, both sides' values,
 median and quartiles, the pairs the change wins and ties (ties count as no
 win) and the change/parent ratio of the medians.  The direction in which a
 metric is better comes from BENCHMARK.json.  Standard library only.  The
@@ -33,6 +37,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+DIRS = ("a", "b")
 
 
 def parse_seeds(text):
@@ -65,6 +71,16 @@ def checkout(rev, into):
         tf.extractall(tree, filter="data")
     tar.unlink()
     return tree
+
+
+def schedule(i):
+    """Pair i's run order and the directory each side runs from: the
+    first side alternates every pair and the directories swap every two
+    pairs, so any four consecutive pairs run each side twice first and
+    twice from each directory."""
+    order = SIDES if i % 2 == 0 else SIDES[::-1]
+    dirs = DIRS if i // 2 % 2 == 0 else DIRS[::-1]
+    return order, dict(zip(SIDES, dirs))
 
 
 def resolve(rev):
@@ -136,19 +152,26 @@ def main(argv=None):
     args = p.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    sides = ("parent", "change")
     runs = []
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
-        trees = {side: checkout(getattr(args, side), Path(tmp) / side)
-                 for side in sides}
+        tmp = Path(tmp)
+        at = dict(zip(SIDES, DIRS))
+        for side in SIDES:
+            checkout(getattr(args, side), tmp / at[side])
         for i, seed in enumerate(args.seeds):
-            order = sides if i % 2 == 0 else sides[::-1]
+            order, where = schedule(i)
+            if where != at:  # the two trees trade directories
+                (tmp / DIRS[0]).rename(tmp / "swap")
+                (tmp / DIRS[1]).rename(tmp / DIRS[0])
+                (tmp / "swap").rename(tmp / DIRS[1])
+                at = where
             for workload in args.workload:
-                run = {"workload": workload, "seed": seed, "first": order[0]}
+                run = {"workload": workload, "seed": seed, "first": order[0],
+                       "dirs": where}
                 for side in order:
-                    result = run_once(trees[side], workload, seed,
-                                      args.seconds)
+                    result = run_once(tmp / where[side] / "tree", workload,
+                                      seed, args.seconds)
                     run[side] = result
                     failed |= result["failed"] > 0
                     print(f"{workload} seed {seed} {side}: failed "
