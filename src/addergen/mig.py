@@ -200,7 +200,7 @@ def _windows(b: CircuitBuilder, xs, r: int, k: int, leaves):
         for i in range(r - 1, -1, -1):
             rows.append(live)
             length = 1 << (r * (lam - 1) + i)
-            live = bytes(map(or_, live, live[length:] + bytes(length)))
+            live = bytes(map(or_, live, live[length:] + bytes(min(length, w))))
         rows.append(live)
     rows.reverse()
 

@@ -108,7 +108,7 @@ def loads_netlist(text: str) -> NetlistFile:
         raise ValueError("empty netlist")
     try:
         header = json.loads(lines[0])
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise ValueError(f"bad netlist header: {e}") from None
     if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
         raise ValueError("not an addergen netlist")

@@ -19,12 +19,12 @@ are fed through buffer chains so no node exceeds fan-out two.
 
 The inner core is a carry circuit of its own, copied once onto the
 coarsest pairs.  The arithmetic shape is fixed, but the gate vocabulary
-is pluggable: a style object supplies the combine and correction forms,
-the repeater gate of its chains and the mapping of the core into its
-gates, letting an inverting-gate rebuild share this exact control flow.
-Every carry travels as a (node, inverted) token: a NOT link flips the
-polarity of the outlets after it, a BUF link keeps it, and an output
-marker takes one NOT where its carry arrives inverted.
+is pluggable: a style supplies the combine and correction forms (handed
+the scale of their pairs: propagates are bare ids, and their polarity is
+the style's rule per scale), its chains' repeater gate and the core's
+mapping into its gates.  Every carry is a (node, inverted) token: a NOT
+link flips the polarity of the outlets after it, a BUF link keeps it,
+and an output marker takes one NOT where its carry arrives inverted.
 
 Cost of the wrapper, beyond the inner core: 3 gates per coarse pair,
 2 per correction, and at most ~n/2 chain buffers — under 5.5n total —
@@ -51,21 +51,16 @@ class OrAndStyle:
         an AND/OR core is used as is."""
         return c, (False,) * len(c.output_ids)
 
-    def combine(self, b: CircuitBuilder, upper, lower):
-        """Coarse (X, Y) pair from two adjacent finer pairs."""
+    def combine(self, b: CircuitBuilder, upper, lower, s: int):
+        """Coarse (X, Y) pair from two adjacent scale-s pairs."""
         x = b.add_gate(AND, upper[0], lower[0])
         carry_through = b.add_gate(AND, upper[0], lower[1])
         y = b.add_gate(OR, upper[1], carry_through)
         return x, y
 
-    def correction(self, b: CircuitBuilder, x, y, carry):
+    def correction(self, b: CircuitBuilder, x, y, carry, s: int):
         """Carry across an odd block: y or (x and carry-in)."""
         return b.add_gate(OR, y, b.add_gate(AND, x, carry[0])), False
-
-
-def _signal(x):
-    """Normalize a wire reference to (node, inverted)."""
-    return x if isinstance(x, tuple) else (x, False)
 
 
 def _link(b: CircuitBuilder, token, repeater: str):
@@ -117,14 +112,13 @@ def apply_reduction(n: int, tau: int, core: Circuit, style=None, name=""):
     b = CircuitBuilder(name or f"reduced{n}-t{tau}")
 
     levels = [[(b.add_input(), b.add_input()) for _ in range(n)]]
-    for _ in range(tau):
+    for s in range(tau):
         prev = levels[-1]
-        levels.append([style.combine(b, prev[2 * i + 1], prev[2 * i])
+        levels.append([style.combine(b, prev[2 * i + 1], prev[2 * i], s)
                        for i in range(len(prev) // 2)])
 
     # levels are popped coarsest first, so each is freed once its scale is done
-    remap = b.inline(mapped, [v for x, y in levels.pop()
-                              for v in (_signal(x)[0], y)])
+    remap = b.inline(mapped, [v for xy in levels.pop() for v in xy])
 
     # consumers are counted once, here: inner carries have what the core gave
     # them, each scale's lowest y its coarser combine from halving; later
@@ -145,7 +139,7 @@ def apply_reduction(n: int, tau: int, core: Circuit, style=None, name=""):
         chain(1 << s, _link(b, lowest, style.repeater) if s == 0 else lowest)
         for j in range(3, (n >> s) + 1, 2):
             carry_in = chains[(j - 1) << s].take()
-            chain(j << s, style.correction(b, *level[j - 1], carry_in))
+            chain(j << s, style.correction(b, *level[j - 1], carry_in, s))
 
     for m in range(1, n + 1):
         node, inverted = chains[m].take()

@@ -24,9 +24,9 @@ odd-row inputs to be delivered in inverted form.
 build_nandnor_adder reuses the carry-reduction control flow with an
 inverting-gate vocabulary instead of mapping the finished adder, so no
 global buffer padding is needed: the halving step keeps the block
-carry at two gate levels per step while its block propagate alternates
-polarity down the levels at one inverting gate each; corrections come
-in true-carry and inverted-carry forms at two levels; distribution
+carry at two gate levels per step while its block propagate, a bare
+id, is inverted exactly at odd scales, one inverting gate per level;
+corrections take true or inverted carries at two levels; distribution
 chains run over inverters and hand each tap its polarity.  The
 multi-input-generate core is levelized with its propagate inputs
 skewed to the polarity and depth the halving steps deliver, then
@@ -52,7 +52,7 @@ from .circuit import (
     CircuitBuilder,
 )
 from .mig import build_mig_adder
-from .reduction import _signal, apply_reduction, reduction_depth_for
+from .reduction import apply_reduction, reduction_depth_for
 
 
 @dataclass(frozen=True)
@@ -165,40 +165,34 @@ class NandNorStyle:
     """Carry-reduction vocabulary over {NAND, NOR, NOT}, with inverter
     distribution chains.
 
-    Pair propagates are (node, inverted) wires like the carry tokens;
-    pair generates stay true-polarity throughout.  The propagate half of a
-    halved pair alternates polarity with each halving level, costing a
-    single inverting gate per level, which is what keeps the depth in
-    step with the AND/OR vocabulary.
+    Pair propagates are bare node ids whose polarity is a rule per scale:
+    at scale s they are inverted exactly when s is odd, alternating with
+    each halving level at a single inverting gate per level, which keeps
+    the depth in step with the AND/OR vocabulary.  Pair generates stay
+    true-polarity throughout.
     """
 
     repeater = NOT
 
-    def combine(self, b: CircuitBuilder, upper, lower):
-        ux, uneg = _signal(upper[0])
-        lx, lneg = _signal(lower[0])
-        if uneg != lneg:
-            raise ValueError("combine requires same-polarity propagates")
-        uy, ly = upper[1], lower[1]
-        if uneg:
+    def combine(self, b: CircuitBuilder, upper, lower, s: int):
+        (ux, uy), (lx, ly) = upper, lower
+        if s % 2:
             # propagates arrive inverted: recover the upper one for the
-            # carry term, conjoin the inverted pair for the propagate
+            # carry term, conjoin the inverted pair for a true propagate
             conj = b.add_gate(NAND, b.add_gate(NOT, ux), ly)
-            x = (b.add_gate(NOR, ux, lx), False)
+            x = b.add_gate(NOR, ux, lx)
         else:
             conj = b.add_gate(NAND, ux, ly)
-            x = (b.add_gate(NAND, ux, lx), True)
-        y = b.add_gate(NAND, conj, b.add_gate(NOT, uy))
-        return (x, y)
+            x = b.add_gate(NAND, ux, lx)
+        return x, b.add_gate(NAND, conj, b.add_gate(NOT, uy))
 
-    def correction(self, b: CircuitBuilder, x, y, token):
-        xn, xneg = _signal(x)
+    def correction(self, b: CircuitBuilder, x, y, token, s: int):
         cn, cneg = token
         if cneg:
             # y or (x and c) == not( y nor (x' nor c') ) for inverted x', c'
-            xinv = xn if xneg else b.add_gate(NOT, xn)
+            xinv = x if s % 2 else b.add_gate(NOT, x)
             return b.add_gate(NOR, y, b.add_gate(NOR, xinv, cn)), True
-        xtrue = b.add_gate(NOT, xn) if xneg else xn
+        xtrue = b.add_gate(NOT, x) if s % 2 else x
         return b.add_gate(
             NAND, b.add_gate(NAND, xtrue, cn), b.add_gate(NOT, y)), False
 

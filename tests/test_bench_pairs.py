@@ -42,6 +42,28 @@ def test_one_pair_has_equal_quartiles():
     assert s["change_wins"] == 1
 
 
+@pytest.mark.parametrize("better,parent,change,flagged", [
+    ("lower", [1.0, 1.0, 1.0], [1.2, 1.2, 1.2], False),
+    ("lower", [1.0, 1.0, 1.0], [1.3, 1.3, 1.3], True),
+    ("lower", [1.0, 1.0, 1.0], [0.5, 0.5, 0.5], False),
+    ("higher", [1.0, 1.0, 1.0], [0.8, 0.8, 0.8], False),
+    ("higher", [1.0, 1.0, 1.0], [0.7, 0.7, 0.7], True),
+    ("higher", [1.0, 1.0, 1.0], [2.0, 2.0, 2.0], False),
+    # medians decide: one slow pair does not move the flag
+    ("lower", [1.0, 1.0, 1.0], [1.0, 9.0, 1.0], False),
+])
+def test_bound_flags_median_loss(better, parent, change, flagged):
+    s = bench_pairs.summarise(parent, change, better, bound=0.25)
+    assert s["bound"] == 0.25
+    assert s["beyond_bound"] is flagged
+
+
+def test_unbounded_metric_is_not_flagged():
+    s = bench_pairs.summarise([1.0], [5.0], "lower")
+    assert s["bound"] is None
+    assert s["beyond_bound"] is None
+
+
 @pytest.mark.parametrize("text,seeds", [("1001-1003", [1001, 1002, 1003]),
                                         ("7", [7])])
 def test_seed_ranges(text, seeds):

@@ -10,6 +10,7 @@ pool/box/tap accounting as the implementation docstrings.
 """
 
 import hashlib
+import tracemalloc
 
 import pytest
 
@@ -255,6 +256,18 @@ class TestMigAdder:
     def test_raw_structure_pinned(self, n, r, k, sha):
         text = dumps_netlist(build_mig_adder(n, r, k, prune=False))
         assert hashlib.sha256(text.encode()).hexdigest() == sha
+
+    @pytest.mark.parametrize("n, r, k", [(3, 26, 2), (5, 8, 4)])
+    def test_window_padding_bounded_by_width(self, n, r, k):
+        # liveness rows are padded to the window width, not to the
+        # doubling distance 2**(r*(k-1)-1), which is 32 MiB at r = 26
+        tracemalloc.start()
+        try:
+            build_mig_adder(n, r, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_size_bound_formula_unpruned(self):
         for n, r, k in [(16, 2, 2), (64, 2, 3), (64, 3, 2), (8, 1, 3)]:

@@ -115,6 +115,9 @@ class TestNetlistFormat:
         (lambda t: t.replace("output 2", "output two"), "output"),
         (lambda t: t + "5 and 0 1\n", "after output"),
         (lambda t: t.replace("\n3 and", "\n\n3 and"), "line 5: blank line"),
+        # json.loads raises RecursionError here, not JSONDecodeError
+        (lambda t: "[" * 100_000 + "]" * 100_000 + "\n",
+         "^bad netlist header: "),
     ])
     def test_malformed_inputs_rejected(self, mangle, message):
         good = dumps_netlist(prefix_gate_circuit())
@@ -365,6 +368,12 @@ class TestCliGenVerify:
         bad.write_text('{"format":"addergen-netlist",broken\n')
         assert main(["verify", "--in", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_deeply_nested_header_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "deep.nl"
+        bad.write_text("[" * 100_000 + "]" * 100_000 + "\n")
+        assert main(["verify", "--in", str(bad)]) == 2
+        assert "error: bad netlist header" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["verify", "--in", str(tmp_path / "nope.nl")]) == 2

@@ -1,12 +1,15 @@
 """Levelization, the alternating inverting-gate mapping, and the
 NAND/NOR/NOT adder built from them."""
 
+import itertools
 import random
 
 import pytest
 
 from addergen.circuit import (
     AND,
+    NAND,
+    NOR,
     NOT,
     OR,
     XOR,
@@ -205,12 +208,44 @@ class TestNotChain:
 
 
 class TestNandNorStyle:
-    def test_combine_needs_same_polarity_propagates(self):
+    """Propagates at scale s arrive inverted exactly when s is odd."""
+
+    @pytest.mark.parametrize("s", [0, 1, 2, 3])
+    def test_combine_propagate_form_follows_scale(self, s):
         b = CircuitBuilder()
         x1, y1, x2, y2 = (b.add_input() for _ in range(4))
-        with pytest.raises(ValueError,
-                           match="^combine requires same-polarity propagates$"):
-            NandNorStyle().combine(b, ((x2, True), y2), (x1, y1))
+        x, y = NandNorStyle().combine(b, (x2, y2), (x1, y1), s)
+        b.mark_output(x)
+        b.mark_output(y)
+        c = b.build()
+        # even s: NAND of true propagates, inverted out; odd s: NOR of
+        # inverted ones, true out
+        assert c.kind(x) == (NOR if s % 2 else NAND)
+        assert c.fanins(x) == (x2, x1)
+        for p1, g1, p2, g2 in itertools.product((0, 1), repeat=4):
+            got = simulate(c, {x1: p1 ^ s % 2, y1: g1,
+                               x2: p2 ^ s % 2, y2: g2})
+            assert got[x] == (p1 & p2) ^ (s % 2 == 0)
+            assert got[y] == g2 | (p2 & g1)
+
+    @pytest.mark.parametrize("s", [0, 1])
+    @pytest.mark.parametrize("cneg", [False, True])
+    def test_correction_inverts_x_only_on_mismatch(self, cneg, s):
+        b = CircuitBuilder()
+        x, y, cn = (b.add_input() for _ in range(3))
+        out, inverted = NandNorStyle().correction(b, x, y, (cn, cneg), s)
+        b.mark_output(out)
+        c = b.build()
+        # the inverted-carry form reads x inverted, the true-carry form
+        # reads it true; x is inverted at odd s
+        readers = [nid for nid in range(len(c))
+                   if not c.is_input(nid) and x in c.fanins(nid)]
+        assert len(readers) == 1
+        assert (c.kind(readers[0]) == NOT) == (cneg != bool(s % 2))
+        assert inverted == cneg
+        for p, g, carry in itertools.product((0, 1), repeat=3):
+            got = simulate(c, {x: p ^ s % 2, y: g, cn: carry ^ cneg})
+            assert got[out] ^ inverted == g | (p & carry)
 
 
 # measured once and pinned: (width, gate count, depth)

@@ -17,9 +17,12 @@ side twice from each directory (see schedule).  The JSON written to --out
 holds every run's metrics and the directory each side ran from ("dirs"),
 and, per workload and metric, both sides' values,
 median and quartiles, the pairs the change wins and ties (ties count as no
-win) and the change/parent ratio of the medians.  The direction in which a
-metric is better comes from BENCHMARK.json.  Standard library only.  The
-exit code is 1 if any run reports a failed op or gives no result.
+win), the change/parent ratio of the medians, and the metric's bound with
+a flag set where the change median is worse than the parent median by
+more than that bound, relative to the parent median.  The direction in
+which a metric is better and its bound come from BENCHMARK.json.
+Standard library only.  The exit code is 1 if any run reports a failed
+op or gives no result.
 """
 
 from __future__ import annotations
@@ -113,16 +116,20 @@ def quartiles(values):
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
-def summarise(parent, change, better):
+def summarise(parent, change, better, bound=None):
     """Summary of one metric over paired runs.
 
     parent[i] and change[i] come from the same pair; better is "lower" or
-    "higher".  A pair whose values are equal is a tie and no win.
+    "higher".  A pair whose values are equal is a tie and no win.  bound
+    is the largest relative loss of the change median against the parent
+    median, in the better direction, that the metric allows; None where
+    the metric has no bound, and then nothing is flagged.
     """
     sign = 1 if better == "higher" else -1
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     ties = sum(c == p for p, c in zip(parent, change))
     pq, cq = quartiles(parent), quartiles(change)
+    loss = sign * (pq[1] - cq[1])
     return {
         "better": better,
         "parent": parent,
@@ -135,6 +142,8 @@ def summarise(parent, change, better):
         "change_wins": wins,
         "ties": ties,
         "ratio": cq[1] / pq[1] if pq[1] else None,
+        "bound": bound,
+        "beyond_bound": None if bound is None else loss > bound * abs(pq[1]),
     }
 
 
@@ -151,7 +160,7 @@ def main(argv=None):
     p.add_argument("--out", required=True, type=Path)
     args = p.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    declared = {m["name"]: m for m in bench["end_to_end"]}
     runs = []
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
@@ -186,7 +195,8 @@ def main(argv=None):
             name: summarise(
                 [r["parent"]["metrics"][name]["value"] for r in mine],
                 [r["change"]["metrics"][name]["value"] for r in mine],
-                better.get(name, "lower"))
+                declared.get(name, {}).get("better", "lower"),
+                declared.get(name, {}).get("bound"))
             for name in names}
     args.out.write_text(json.dumps({
         "parent": resolve(args.parent),
