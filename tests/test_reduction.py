@@ -25,10 +25,12 @@ from addergen.circuit import (
     prune_dead,
     validate,
 )
+from addergen.families import AdderSpec, build_adder
 from addergen.mig import build_mig_adder, choose_params
 from addergen.netlist import dumps_netlist
 from addergen.prefix import brent_kung, expand_to_logic, serial_prefix
 from addergen.reduction import (
+    OrAndStyle,
     _carry_demand,
     _chain,
     apply_reduction,
@@ -36,7 +38,7 @@ from addergen.reduction import (
     reduction_depth_for,
 )
 from addergen.semantics import verify_adder
-from addergen.techmap import build_nandnor_adder
+from addergen.techmap import NandNorStyle, build_nandnor_adder
 
 KIND_ORDER = ["input", "and", "or", "xor", "not", "buf", "nand", "nor"]
 
@@ -156,6 +158,15 @@ class TestReductionStructure:
                       c.output_ids[:-1])
         with pytest.raises(ValueError, match="^core has 3 carries, need 4$"):
             apply_reduction(8, 1, bad)
+
+    @pytest.mark.parametrize("style", [OrAndStyle, NandNorStyle])
+    def test_core_carry_without_free_slot_is_named(self, style):
+        # sklansky 4's second carry feeds two gates besides its output
+        core = build_adder(AdderSpec("sklansky", 4))
+        with pytest.raises(ValueError, match=(
+                "^core carry 2 already has 2 consumers inside the core; the "
+                "wrapper needs one free fan-out slot on each core carry$")):
+            apply_reduction(16, 2, core, style())
 
 
 class TestReductionCorrectness:

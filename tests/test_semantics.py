@@ -12,9 +12,12 @@ from addergen.circuit import (
 )
 from addergen.families import AdderSpec, build_adder, build_full_adder
 from addergen.semantics import (
-    CHUNK_BITS, VerifyReport, _grid_chunks, bits_to_int, block_signals,
-    gp_prepare, int_to_bits, packed_ripple, prefix_op, ripple_carries,
-    simulate, simulate_packed, sum_bits, verify_adder, verify_full_adder,
+    CHUNK_BITS, VerifyReport, _grid_chunks, packed_ripple, simulate,
+    simulate_packed, verify_adder, verify_full_adder,
+)
+from tests.reference import (
+    bits_to_int, block_signals, gp_prepare, int_to_bits, prefix_op,
+    ripple_carries, sum_bits,
 )
 from tests.test_circuit import tiny_carry2
 

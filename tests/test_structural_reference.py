@@ -11,7 +11,7 @@ from addergen.circuit import Metrics, metrics, node_depths, prune_dead
 from addergen.families import (
     FAMILIES, AdderSpec, build_adder, build_full_adder,
 )
-from addergen.mig import build_mig_adder
+from tests.reference import raw_mig_adder
 
 
 def ref_consumer_counts(c):
@@ -61,4 +61,4 @@ def test_family_matches_reference(family, n, full):
 
 
 def test_pruned_raw_mig_matches_reference():
-    assert_matches_reference(prune_dead(build_mig_adder(64, prune=False)))
+    assert_matches_reference(prune_dead(raw_mig_adder(64)))
