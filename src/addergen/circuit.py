@@ -14,9 +14,9 @@ so that million-node circuits stay cheap to build, walk, and simulate.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from itertools import accumulate, compress, count
 from operator import and_, not_, or_, xor
+from typing import NamedTuple
 
 INPUT = "input"
 AND = "and"
@@ -35,8 +35,7 @@ KIND_NAMES = {code: name for name, code in KIND_CODES.items()}
 _ARITY = {code: GATE_ARITY.get(name, 0) for name, code in KIND_CODES.items()}
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     rule: str
     node: int  # -1 for circuit-level problems
     detail: str
@@ -196,8 +195,7 @@ class Circuit:
             raise CircuitError(self._violations)
 
 
-@dataclass(frozen=True)
-class Metrics:
+class Metrics(NamedTuple):
     depth: int
     size: int
     max_fanout: int

@@ -103,7 +103,19 @@ FAMILIES = {
 }
 
 
+def _spec_type_problem(spec: AdderSpec) -> str | None:
+    """Name the spec fields no netlist header can hold (bools are not ints)."""
+    if not isinstance(spec.family, str) or type(spec.n) is not int:
+        return "family/n types"
+    if any(v is not None and type(v) is not int for v in spec[2:]):
+        return "r/k/tau/seed types"
+    return None
+
+
 def _check_spec(spec: AdderSpec) -> Family:
+    problem = _spec_type_problem(spec)
+    if problem:
+        raise ValueError(f"bad spec: {problem}")
     fam = FAMILIES.get(spec.family)
     if fam is None:
         known = ", ".join(sorted(FAMILIES))

@@ -24,7 +24,7 @@ from itertools import count, islice
 from typing import NamedTuple
 
 from .circuit import Circuit, CircuitError, GATE_ARITY, KIND_CODES, KIND_NAMES
-from .families import AdderSpec
+from .families import AdderSpec, _spec_type_problem
 
 FORMAT_NAME = "addergen-netlist"
 FORMAT_VERSION = 1
@@ -122,11 +122,9 @@ def loads_netlist(text: str) -> NetlistFile:
             spec = AdderSpec(**raw_spec)
         except TypeError as e:
             raise ValueError(f"bad spec in header: {e}") from None
-        # type(...) is int: a JSON true or false would pass isinstance
-        if not isinstance(spec.family, str) or type(spec.n) is not int:
-            raise ValueError("bad spec in header: family/n types")
-        if any(v is not None and type(v) is not int for v in spec[2:]):
-            raise ValueError("bad spec in header: r/k/tau/seed types")
+        problem = _spec_type_problem(spec)
+        if problem:
+            raise ValueError(f"bad spec in header: {problem}")
     codes, f0, f1 = array("b"), array("i"), array("i")
     inputs, outputs = [], []
     for ln, line in enumerate(lines[1:], start=2):

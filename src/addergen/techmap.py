@@ -37,8 +37,8 @@ carry arrives inverted - the single extra level over the AND/OR adder.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from itertools import compress
+from typing import NamedTuple
 
 from .circuit import (
     AND,
@@ -55,8 +55,7 @@ from .mig import build_mig_adder
 from .reduction import apply_reduction, reduction_depth_for
 
 
-@dataclass(frozen=True)
-class LevelizedCircuit:
+class LevelizedCircuit(NamedTuple):
     """A circuit whose every gate reads only the row directly above it."""
 
     circuit: Circuit

@@ -34,6 +34,23 @@ class TestRegistry:
         with pytest.raises(ValueError, match="does not take"):
             build_adder(AdderSpec("ripple", 8, k=2))
 
+    # each spec would build a circuit whose netlist header cannot be
+    # loaded back, or end in TypeError
+    @pytest.mark.parametrize("spec, problem", [
+        (AdderSpec("ripple", True), "family/n types"),
+        (AdderSpec("ripple", 2.0), "family/n types"),
+        (AdderSpec("sklansky", 6.0), "family/n types"),
+        (AdderSpec("mig", 8, r=True, k=3), "r/k/tau/seed types"),
+        (AdderSpec("mig", 8, r=1.5, k=2), "r/k/tau/seed types"),
+        (AdderSpec("linear", 8, tau=True), "r/k/tau/seed types"),
+        (AdderSpec("ripple", 4, seed="x"), "r/k/tau/seed types"),
+    ])
+    @pytest.mark.parametrize("build", [build_adder, build_full_adder])
+    def test_ill_typed_spec_rejected_before_building(self, build, spec,
+                                                     problem):
+        with pytest.raises(ValueError, match=f"^bad spec: {problem}$"):
+            build(spec)
+
     def test_mig_needs_both_window_parameters(self):
         with pytest.raises(ValueError, match="both"):
             build_adder(AdderSpec("mig", 8, r=2))

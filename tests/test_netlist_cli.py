@@ -481,13 +481,17 @@ class TestCliExport:
         assert "error:" in capsys.readouterr().err
 
 
+def _child_env():
+    """Environment in which a child imports the same addergen as this
+    process, installed or not."""
+    src = str(Path(addergen.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
 class TestConsoleEntry:
     def test_module_invocation_round_trip(self, tmp_path):
-        # the child imports the same addergen as this process, installed
-        # or not
-        src = str(Path(addergen.__file__).resolve().parents[1])
-        path = [src, os.environ.get("PYTHONPATH", "")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        env = _child_env()
         out = tmp_path / "s4.nl"
         gen = subprocess.run(
             [sys.executable, "-m", "addergen.cli", "gen", "--family",
@@ -500,3 +504,13 @@ class TestConsoleEntry:
             capture_output=True, text=True, env=env)
         assert check.returncode == 0, check.stderr
         assert "OK" in check.stdout
+
+    def test_import_loads_no_generated_code(self):
+        # the result records are NamedTuples: dataclasses, and the inspect
+        # it loads, would generate and compile methods on every import
+        probe = subprocess.run(
+            [sys.executable, "-c", "import addergen, sys; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+            capture_output=True, text=True, env=_child_env())
+        assert probe.returncode == 0, probe.stderr
+        assert probe.stdout == "[]\n"
