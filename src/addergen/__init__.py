@@ -9,7 +9,7 @@ verify them against bit-level semantics, and compare their measurements.
 """
 
 from .circuit import (
-    AND, BUF, INPUT, NAND, NOR, NOT, OR, XOR,
+    AND, BUF, INPUT, KIND_NAMES, NAND, NOR, NOT, OR, XOR,
     Circuit, CircuitBuilder, CircuitError, Metrics, Violation,
     constant_fold, metrics, node_depths, prune_dead, validate,
 )
@@ -32,7 +32,7 @@ from .netlist import circuit_to_dot, load_netlist, save_netlist
 __version__ = "0.1.0"
 
 __all__ = [
-    "AND", "BUF", "INPUT", "NAND", "NOR", "NOT", "OR", "XOR",
+    "AND", "BUF", "INPUT", "KIND_NAMES", "NAND", "NOR", "NOT", "OR", "XOR",
     "Circuit", "CircuitBuilder", "CircuitError", "Metrics", "Violation",
     "constant_fold", "metrics", "node_depths", "prune_dead",
     "validate", "VerifyReport", "prove_adder", "simulate", "simulate_packed",

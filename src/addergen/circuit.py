@@ -18,21 +18,10 @@ from itertools import accumulate, compress, count
 from operator import and_, not_, or_, xor
 from typing import NamedTuple
 
-INPUT = "input"
-AND = "and"
-OR = "or"
-XOR = "xor"
-NOT = "not"
-BUF = "buf"
-NAND = "nand"
-NOR = "nor"
-
-GATE_ARITY = {AND: 2, OR: 2, XOR: 2, NAND: 2, NOR: 2, NOT: 1, BUF: 1}
-
-# stable small codes used by the array representation and the netlist format
-KIND_CODES = {INPUT: 0, AND: 1, OR: 2, XOR: 3, NOT: 4, BUF: 5, NAND: 6, NOR: 7}
-KIND_NAMES = {code: name for name, code in KIND_CODES.items()}
-_ARITY = {code: GATE_ARITY.get(name, 0) for name, code in KIND_CODES.items()}
+# kind codes, as stored in the circuit arrays; names appear only in text
+INPUT, AND, OR, XOR, NOT, BUF, NAND, NOR = range(8)
+KIND_NAMES = ("input", "and", "or", "xor", "not", "buf", "nand", "nor")
+KIND_ARITY = (0, 2, 2, 2, 1, 1, 2, 2)  # fanins per kind code
 
 
 class Violation(NamedTuple):
@@ -69,24 +58,24 @@ class CircuitBuilder:
 
     def add_input(self) -> int:
         nid = len(self._codes)
-        self._codes.append(0)
+        self._codes.append(INPUT)
         self._f0.append(-1)
         self._f1.append(-1)
         self._inputs.append(nid)
         return nid
 
-    def add_gate(self, kind: str, a: int, b: int | None = None) -> int:
+    def add_gate(self, kind: int, a: int, b: int | None = None) -> int:
         nid = len(self._codes)
-        arity = GATE_ARITY.get(kind)
-        if arity is None:
+        if type(kind) is not int or not INPUT < kind <= NOR:
             raise ValueError(f"unknown gate kind {kind!r}")
+        arity = KIND_ARITY[kind]
         if not 0 <= a < nid:
             raise ValueError(f"fanin {a} out of range for node {nid}")
         if arity == 1 and b is not None:
-            raise ValueError(f"{kind} takes one fanin")
+            raise ValueError(f"{KIND_NAMES[kind]} takes one fanin")
         if arity == 2 and (b is None or not 0 <= b < nid):
             raise ValueError(f"fanin {b} out of range for node {nid}")
-        self._codes.append(KIND_CODES[kind])
+        self._codes.append(kind)
         self._f0.append(a)
         self._f1.append(-1 if b is None else b)
         return nid
@@ -115,7 +104,7 @@ class CircuitBuilder:
         codes, f0, f1 = self._codes, self._f0, self._f1
         src_f0, src_f1 = c._f0, c._f1
         for old, code in enumerate(c._codes):
-            if code == 0:
+            if code == INPUT:
                 continue
             b = src_f1[old]
             codes.append(code)
@@ -156,11 +145,11 @@ class Circuit:
     def num_gates(self) -> int:
         return len(self._codes) - len(self.input_ids)
 
-    def kind(self, nid: int) -> str:
-        return KIND_NAMES[self._codes[nid]]
+    def kind(self, nid: int) -> int:
+        return self._codes[nid]
 
     def is_input(self, nid: int) -> bool:
-        return self._codes[nid] == 0
+        return self._codes[nid] == INPUT
 
     def fanins(self, nid: int) -> tuple:
         f0 = self._f0[nid]
@@ -220,7 +209,7 @@ def validate(c: Circuit) -> list:
     for nid, code, a, b in zip(count(), codes, f0, f1):
         if code:
             if (not -1 < a < nid or b >= nid or nid in input_set
-                    or (b < 0 if _ARITY[code] == 2 else b != -1)):
+                    or (b < 0 if KIND_ARITY[code] == 2 else b != -1)):
                 suspects.append(nid)
         elif a != -1 or b != -1 or nid not in input_set:
             suspects.append(nid)
@@ -229,14 +218,14 @@ def validate(c: Circuit) -> list:
     for nid in suspects:
         code, a, b = codes[nid], f0[nid], f1[nid]
         fans = () if a < 0 else (a,) if b < 0 else (a, b)
-        if code == 0:
+        if code == INPUT:
             if nid not in input_set:
                 out.append(Violation("input-marking", nid,
                                      "input-kind node missing from input list"))
             if fans:
                 out.append(Violation("arity", nid, "input with fanins"))
         else:
-            if len(fans) != _ARITY[code]:
+            if len(fans) != KIND_ARITY[code]:
                 out.append(Violation(
                     "arity", nid, f"{KIND_NAMES[code]} has {len(fans)} fanins"))
             for f in fans:
@@ -253,7 +242,7 @@ def validate(c: Circuit) -> list:
         if not 0 <= oid < n:
             out.append(Violation("output-range", oid, "output id out of range"))
             continue
-        if codes[oid] == 0:
+        if codes[oid] == INPUT:
             out.append(Violation("output-on-input", oid,
                                  "output marker must name a gate"))
         outputs.append(oid)
@@ -262,7 +251,7 @@ def validate(c: Circuit) -> list:
         # consumers are counted over the references that passed the checks
         counted = Circuit(c.name, codes, f0, f1, c.input_ids, tuple(outputs))
     for nid in compress(count(), map(not_, counted.consumer_counts())):
-        if codes[nid] == 0:
+        if codes[nid] == INPUT:
             out.append(Violation("dangling-input", nid, "input drives nothing"))
         else:
             out.append(Violation("dangling-gate", nid,
@@ -287,8 +276,8 @@ def metrics(c: Circuit) -> Metrics:
     depths = node_depths(c)
     codes = c._codes.tobytes()  # one byte per kind code
     # kinds in order of first occurrence, as a node-by-node count lists them
-    firsts = sorted((codes.index(k), k) for k in KIND_NAMES
-                    if k and k in codes)
+    firsts = sorted((codes.index(k), k) for k in range(AND, NOR + 1)
+                    if k in codes)
     return Metrics(
         depth=max(depths) if depths else 0,
         size=c.num_gates,
@@ -324,9 +313,9 @@ def prune_dead(c: Circuit) -> Circuit:
 
 
 # kind code -> value of the gate on fanin bits (one-input gates ignore q)
-_BIT_FUNCS = {1: and_, 2: or_, 3: xor, 4: lambda p, q: p ^ 1,
-              5: lambda p, q: p, 6: lambda p, q: (p & q) ^ 1,
-              7: lambda p, q: (p | q) ^ 1}
+_BIT_FUNCS = {AND: and_, OR: or_, XOR: xor, NOT: lambda p, q: p ^ 1,
+              BUF: lambda p, q: p, NAND: lambda p, q: (p & q) ^ 1,
+              NOR: lambda p, q: (p | q) ^ 1}
 
 
 def constant_fold(c: Circuit, assignment: dict, keep_outputs=None) -> Circuit:
@@ -339,14 +328,15 @@ def constant_fold(c: Circuit, assignment: dict, keep_outputs=None) -> Circuit:
     keep_outputs selects which original output markers survive; a kept
     output must not fold to a constant.  Dead logic is pruned.
     """
+    inputs, outputs = set(c.input_ids), set(c.output_ids)
     for nid in assignment:
-        if not c.is_input(nid):
+        if nid not in inputs:
             raise ValueError(f"assignment target {nid} is not an input")
     b = CircuitBuilder(c.name)
     const = {}  # old id -> 0/1
     remap = {}  # old id -> new id
     for nid, code, x, y in zip(count(), c._codes, c._f0, c._f1):
-        if code == 0:
+        if code == INPUT:
             if nid in assignment:
                 const[nid] = assignment[nid] & 1
             else:
@@ -356,9 +346,9 @@ def constant_fold(c: Circuit, assignment: dict, keep_outputs=None) -> Circuit:
         if x in const and (y < 0 or y in const):  # every input constant
             const[nid] = f(const[x], const.get(y, 0))
         elif y < 0:
-            remap[nid] = b.add_gate(KIND_NAMES[code], remap[x])
+            remap[nid] = b.add_gate(code, remap[x])
         elif x not in const and y not in const:
-            remap[nid] = b.add_gate(KIND_NAMES[code], remap[x], remap[y])
+            remap[nid] = b.add_gate(code, remap[x], remap[y])
         else:  # one constant input: call f with the live one at 0 and 1
             cv, live = ((const[x], remap[y]) if x in const
                         else (const[y], remap[x]))
@@ -371,10 +361,12 @@ def constant_fold(c: Circuit, assignment: dict, keep_outputs=None) -> Circuit:
                 remap[nid] = b.add_gate(NOT, live)
     wanted = list(c.output_ids) if keep_outputs is None else list(keep_outputs)
     for oid in wanted:
+        if oid not in outputs:
+            raise ValueError(f"kept id {oid} is not an output")
         if oid in const:
             raise ValueError(f"kept output {oid} folded to constant {const[oid]}")
         nid = remap[oid]
-        if b._codes[nid] == 0:  # alias collapsed onto an input; outputs are gates
+        if b._codes[nid] == INPUT:  # an alias of an input; outputs are gates
             nid = b.add_gate(BUF, nid)
         b.mark_output(nid)
     return prune_dead(b.build())

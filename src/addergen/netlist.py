@@ -23,13 +23,14 @@ from array import array
 from itertools import count, islice
 from typing import NamedTuple
 
-from .circuit import Circuit, CircuitError, GATE_ARITY, KIND_CODES, KIND_NAMES
+from .circuit import INPUT, KIND_ARITY, KIND_NAMES, Circuit, CircuitError
 from .families import AdderSpec, _spec_type_problem
 
 FORMAT_NAME = "addergen-netlist"
 FORMAT_VERSION = 1
 # node lines per block of written text
 _BLOCK = 1 << 16
+_CODES = {name: code for code, name in enumerate(KIND_NAMES)}
 
 
 class NetlistFile(NamedTuple):
@@ -145,19 +146,18 @@ def loads_netlist(text: str) -> NetlistFile:
                 raise ValueError(f"line {ln}: node id {got} out of sequence")
             raise ValueError(f"line {ln}: bad node id {got!r}")
         kind = parts[1] if len(parts) > 1 else ""
-        code = KIND_CODES.get(kind)
-        if code == 0:
-            if len(parts) != 2:
-                raise ValueError(f"line {ln}: input with fanins")
+        code = _CODES.get(kind)
+        if code is None:
+            raise ValueError(f"line {ln}: unknown gate kind {kind!r}")
+        want = KIND_ARITY[code]
+        if len(parts) != want + 2:
+            raise ValueError(f"line {ln}: input with fanins" if code == INPUT
+                             else f"line {ln}: {kind} expects {want} fanins, "
+                             f"got {len(parts) - 2}")
+        if code == INPUT:
             inputs.append(nid)
             a = b = -1
         else:
-            if code is None:
-                raise ValueError(f"line {ln}: unknown gate kind {kind!r}")
-            want = GATE_ARITY[kind]
-            if len(parts) != want + 2:
-                raise ValueError(f"line {ln}: {kind} expects {want} fanins, "
-                                 f"got {len(parts) - 2}")
             try:
                 a = int(parts[2])
                 b = int(parts[3]) if want == 2 else -1

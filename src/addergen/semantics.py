@@ -19,7 +19,8 @@ import random
 from itertools import count
 from typing import NamedTuple
 
-from .circuit import KIND_NAMES, Circuit
+from .circuit import AND, BUF, INPUT, KIND_NAMES, NAND, NOR, NOT, OR, XOR
+from .circuit import Circuit
 
 # ---------------------------------------------------------------------------
 # packed simulation
@@ -44,28 +45,29 @@ def simulate_packed(c: Circuit, input_words, width):
     for nid, word in zip(c.input_ids, input_words):
         # share a word already within width lanes instead of copying it
         values[nid] = word if 0 <= word <= mask else word & mask
-    f0, f1 = c._f0, c._f1
-    codes = c._codes
+    codes, f0, f1 = c._codes, c._f0, c._f1
+    # kind codes as locals: the chain below runs once per gate
+    inp, and_, or_, xor, not_, buf, nand = INPUT, AND, OR, XOR, NOT, BUF, NAND
     for nid in range(n):
         code = codes[nid]
-        if code == 0:
+        if code == inp:
             continue
         a = f0[nid]
         va = values[a]
         b = f1[nid]
-        if code == 1:
+        if code == and_:
             v = va & values[b]
-        elif code == 2:
+        elif code == or_:
             v = va | values[b]
-        elif code == 3:
+        elif code == xor:
             v = va ^ values[b]
-        elif code == 4:
+        elif code == not_:
             v = va ^ mask
-        elif code == 5:
+        elif code == buf:
             v = va
-        elif code == 6:
+        elif code == nand:
             v = (va & values[b]) ^ mask
-        else:
+        else:  # nor
             v = (va | values[b]) ^ mask
         values[nid] = v
         remaining[a] -= 1
@@ -253,15 +255,17 @@ def _run_phase(c, name, chunks, oracle):
     return PhaseResult(name, patterns, mismatches, counterexamples)
 
 
-def _check_interface(c, n, n_outputs):
-    """Raise CircuitError unless c validates, ValueError unless it has 2n
-    inputs and n_outputs outputs."""
+def _check_interface(c, n, extra):
+    """Raise ValueError unless n is an int (not a bool), CircuitError unless
+    c validates, ValueError unless it has 2n inputs and n + extra outputs."""
+    if type(n) is not int:
+        raise ValueError(f"n must be an int, got {n!r}")
     c.check()
     if len(c.input_ids) != 2 * n:
         raise ValueError(f"expected {2 * n} inputs, circuit has {len(c.input_ids)}")
-    if len(c.output_ids) != n_outputs:
+    if len(c.output_ids) != n + extra:
         raise ValueError(
-            f"expected {n_outputs} outputs, circuit has {len(c.output_ids)}")
+            f"expected {n + extra} outputs, circuit has {len(c.output_ids)}")
 
 
 # random mode's pattern count and seed when the caller names none
@@ -271,7 +275,7 @@ DEFAULT_SEED = 0xC0FFEE
 MAX_COUNTEREXAMPLES = 10
 
 
-def _verify(c, n, n_outputs, oracle, grids, labels, mode, samples, seed):
+def _verify(c, n, extra, oracle, grids, labels, mode, samples, seed):
     """Interface checks and mode dispatch shared by both verifiers.
 
     grids lists the exhaustive phases as (name, base, first_digits,
@@ -281,7 +285,7 @@ def _verify(c, n, n_outputs, oracle, grids, labels, mode, samples, seed):
     output labels, and samples only if the proof does not cover every
     output.
     """
-    _check_interface(c, n, n_outputs)
+    _check_interface(c, n, extra)
     proof = None
     if mode == "auto" and n <= 10:
         mode = "exhaustive"
@@ -297,6 +301,8 @@ def _verify(c, n, n_outputs, oracle, grids, labels, mode, samples, seed):
             chunks = _grid_chunks(n, base, first, second)
             phases.append(_run_phase(c, name, chunks, oracle))
     elif mode == "random":
+        if type(samples) is not int:
+            raise ValueError(f"samples must be an int, got {samples!r}")
         if samples < 1:
             raise ValueError(f"samples must be at least 1, got {samples}")
         rng = random.Random(seed)
@@ -330,7 +336,7 @@ def verify_adder(c: Circuit, n: int, mode: str = "auto",
     only when the proof does not cover every output.
     """
     grids = (("restricted", 3, {2}, {1}), ("unrestricted", 4, {1, 3}, {2, 3}))
-    return _verify(c, n, n, packed_ripple, grids, _carry_labels, mode,
+    return _verify(c, n, 0, packed_ripple, grids, _carry_labels, mode,
                    samples, seed)
 
 
@@ -344,7 +350,7 @@ def verify_full_adder(c: Circuit, n: int, mode: str = "auto",
     that, a proof with the random fallback verify_adder describes.
     """
     grids = (("summands", 4, {1, 3}, {2, 3}),)
-    return _verify(c, n, n + 1, _full_sum_words, grids, _full_labels, mode,
+    return _verify(c, n, 1, _full_sum_words, grids, _full_labels, mode,
                    samples, seed)
 
 
@@ -368,7 +374,7 @@ def verify_full_adder(c: Circuit, n: int, mode: str = "auto",
 
 # kind code -> whether the gate meets (ands) operands of true polarity;
 # with both operands inverted it joins them instead (De Morgan)
-_MEETS = {1: 1, 2: 0, 6: 1, 7: 0}
+_MEETS = {AND: 1, OR: 0, NAND: 1, NOR: 0}
 
 
 def _touch(s1, t1, s2, t2):
@@ -436,26 +442,27 @@ def _prove(c, input_labels, expected):
     for nid, label in zip(c.input_ids, input_labels):
         lab[nid] = label
     first = None
+    inp, xor, not_, buf, nand = INPUT, XOR, NOT, BUF, NAND  # fast locals
     for nid, code, a, b in zip(count(), c._codes, c._f0, c._f1):
-        if code == 5 or code == 4:  # buf, not
+        if code == buf or code == not_:
             lab[nid] = lab[a]
-            neg[nid] = neg[a] ^ (code == 4)
+            neg[nid] = neg[a] ^ (code == not_)
             continue
-        if code == 0:
+        if code == inp:
             continue
         p = lab[a]
         q = lab[b]
         if p is None or q is None:
             continue
         s = neg[a]
-        if code == 3:
+        if code == xor:
             label = _xor(p, q)
             s ^= neg[b]
         elif s != neg[b]:
             label = None
         else:
             label = (_meet if _MEETS[code] ^ s else _join)(p, q)
-            s ^= code > 5
+            s ^= code >= nand  # nand, nor invert
         if label is None:
             if first is None:
                 first = (nid, KIND_NAMES[code],
@@ -498,7 +505,7 @@ def prove_adder(c: Circuit, n: int) -> ProofReport:
     still be correct, since the rules cover only the prefix forms the
     families build.  The circuit must validate (CircuitError otherwise).
     """
-    _check_interface(c, n, n)
+    _check_interface(c, n, 0)
     return _prove(c, *_carry_labels(n))
 
 
@@ -506,5 +513,5 @@ def prove_full_adder(c: Circuit, n: int) -> ProofReport:
     """Prove a full adder as prove_adder proves a carry circuit: its
     outputs must carry x_1, then the sum labels S(2)..S(n), then the
     carry-out G(1, n, n)."""
-    _check_interface(c, n, n + 1)
+    _check_interface(c, n, 1)
     return _prove(c, *_full_labels(n))

@@ -43,7 +43,8 @@ from typing import NamedTuple
 from .circuit import (
     AND,
     BUF,
-    KIND_CODES,
+    INPUT,
+    KIND_NAMES,
     NAND,
     NOR,
     NOT,
@@ -112,7 +113,7 @@ def levelize(c: Circuit, input_rows=None) -> LevelizedCircuit:
     # a stable sort keeps id order within a row
     for nid in sorted(compress(range(n), codes), key=lvl.__getitem__):
         fs = tuple(alias_at(f, lvl[nid] - 1) for f in c.fanins(nid))
-        remap[nid] = b.add_gate(c.kind(nid), *fs)
+        remap[nid] = b.add_gate(codes[nid], *fs)
         rows.append(lvl[nid])
     for oid in c.output_ids:
         b.mark_output(remap[oid])
@@ -133,15 +134,14 @@ def _demorgan(lc: LevelizedCircuit):
     """
     c = lc.circuit
     codes = array("b", c._codes)
-    for nid in range(len(c)):
-        if c.is_input(nid):
+    for nid, (code, row) in enumerate(zip(c._codes, lc.levels)):
+        if code == INPUT:
             continue
-        table = _ODD_ROW if lc.levels[nid] % 2 else _EVEN_ROW
-        kind = table.get(c.kind(nid))
+        kind = (_ODD_ROW if row % 2 else _EVEN_ROW).get(code)
         if kind is None:
             raise ValueError(
-                f"cannot map {c.kind(nid)!r} gates; expected and/or/buf")
-        codes[nid] = KIND_CODES[kind]
+                f"cannot map {KIND_NAMES[code]!r} gates; expected and/or/buf")
+        codes[nid] = kind
     mapped = Circuit(c.name, codes, c._f0, c._f1, c.input_ids, c.output_ids)
     return mapped, tuple(bool(lc.levels[oid] % 2) for oid in c.output_ids)
 

@@ -7,7 +7,7 @@ from functools import partial
 import pytest
 
 from addergen.circuit import (
-    AND, BUF, NAND, NOR, NOT, OR, XOR,
+    AND, BUF, INPUT, NAND, NOR, NOT, OR, XOR,
     Circuit, CircuitBuilder, CircuitError, FanoutChain,
     constant_fold, lsb_carry, metrics, node_depths,
     prune_dead, validate,
@@ -60,11 +60,12 @@ class TestBuilder:
         with pytest.raises(ValueError):
             b.add_gate(AND, i0)
 
-    @pytest.mark.parametrize("kind", ["foo", "input"])
+    @pytest.mark.parametrize("kind", ["foo", "input", "and", INPUT, 8, -1,
+                                      True, 1.0])
     def test_unknown_kind_rejected(self, kind):
         b = CircuitBuilder()
         b.add_input()
-        with pytest.raises(ValueError, match=f"^unknown gate kind '{kind}'$"):
+        with pytest.raises(ValueError, match=f"^unknown gate kind {kind!r}$"):
             b.add_gate(kind, 0)
         assert len(b) == 1 and b.build().fanins(0) == ()
 
@@ -336,7 +337,7 @@ class TestMetrics:
         # c2 = Or(Buf(y1), And(x1, Buf)) is 3 deep and feeds c3's And -> Or
         assert m.depth == 5
         assert m.max_fanout == 2
-        assert m.histogram == {BUF: 1, AND: 2, OR: 2}
+        assert m.histogram == {"buf": 1, "and": 2, "or": 2}
 
     def test_depths_per_node(self):
         c = tiny_carry2()
@@ -436,7 +437,8 @@ class TestConstantFold:
             constant_fold(b.build(), {x0: 0, x1: 1})
 
     @pytest.mark.parametrize("kind,absorbing,value", [
-        (AND, 0, 0), (NAND, 0, 1), (OR, 1, 1), (NOR, 1, 0)])
+        (AND, 0, 0), (NAND, 0, 1), (OR, 1, 1), (NOR, 1, 0)],
+        ids=["and-0-0", "nand-0-1", "or-1-1", "nor-1-0"])
     def test_one_absorbing_input_folds_to_constant(self, kind, absorbing,
                                                    value):
         b = CircuitBuilder()
@@ -453,7 +455,8 @@ class TestConstantFold:
             assert simulate(f, bits)[f.output_ids[0]] == (p >> 1) ^ value
 
     @pytest.mark.parametrize("kind,absorbing", [
-        (AND, 0), (NAND, 0), (OR, 1), (NOR, 1)])
+        (AND, 0), (NAND, 0), (OR, 1), (NOR, 1)],
+        ids=["and-0", "nand-0", "or-1", "nor-1"])
     def test_kept_output_on_absorbed_gate_raises(self, kind, absorbing):
         b = CircuitBuilder()
         x0, x1 = b.add_input(), b.add_input()
@@ -465,6 +468,20 @@ class TestConstantFold:
         c, _, (g2, _) = self._fold_target()
         with pytest.raises(ValueError, match="is not an input"):
             constant_fold(c, {g2: 0})
+
+    @pytest.mark.parametrize("target", [10**6, 6, -1, -5])
+    def test_assignment_outside_the_inputs_raises(self, target):
+        c, _, _ = self._fold_target()
+        message = f"^assignment target {target} is not an input$"
+        with pytest.raises(ValueError, match=message):
+            constant_fold(c, {target: 1})
+
+    @pytest.mark.parametrize("kept", [10**6, -1, 0, 3])
+    def test_keep_outputs_outside_the_outputs_raises(self, kept):
+        c, _, _ = self._fold_target()
+        message = f"^kept id {kept} is not an output$"
+        with pytest.raises(ValueError, match=message):
+            constant_fold(c, {}, keep_outputs=[kept])
 
     def test_alias_output_gets_buffer(self):
         b = CircuitBuilder()

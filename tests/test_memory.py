@@ -14,7 +14,7 @@ from array import array
 import pytest
 
 from addergen import netlist
-from addergen.circuit import Circuit, KIND_CODES
+from addergen.circuit import AND, INPUT, KIND_NAMES, NOT, Circuit
 from addergen.families import AdderSpec, build_adder, build_full_adder
 from addergen.netlist import (
     FORMAT_NAME, FORMAT_VERSION, _interface_names, circuit_to_dot,
@@ -96,10 +96,10 @@ def test_dot_is_the_same_at_every_block_size(monkeypatch, block):
 def chain_circuit(size):
     """A circuit of exactly `size` nodes: one input, then alternating
     not/and gates over the previous node; the last node is the output."""
-    codes = array("b", [KIND_CODES["input"]] * min(size, 1))
+    codes = array("b", [INPUT] * min(size, 1))
     f0, f1 = array("i", [-1] * len(codes)), array("i", [-1] * len(codes))
     for nid in range(1, size):
-        codes.append(KIND_CODES["not" if nid % 2 else "and"])
+        codes.append(NOT if nid % 2 else AND)
         f0.append(nid - 1)
         f1.append(-1 if nid % 2 else 0)
     return Circuit(f"chain{size}", codes, f0, f1, (0,) * min(size, 1),
@@ -124,7 +124,7 @@ def test_text_is_the_same_at_every_block_size(monkeypatch, tmp_path, block):
     monkeypatch.setattr(netlist, "_BLOCK", block)
     path = tmp_path / "c.nl"
     longest = chain_circuit(block + 1)
-    node_lines = [" ".join([str(nid), longest.kind(nid),
+    node_lines = [" ".join([str(nid), KIND_NAMES[longest.kind(nid)],
                             *map(str, longest.fanins(nid))])
                   for nid in range(len(longest))]
     for size in (block - 1, block, block + 1):

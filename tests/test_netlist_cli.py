@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import addergen
-from addergen.circuit import AND, OR, CircuitBuilder
+from addergen.circuit import (
+    AND, BUF, KIND_ARITY, KIND_NAMES, NAND, NOR, NOT, OR, XOR, CircuitBuilder,
+)
 from addergen import cli
 from addergen.cli import CSV_COLUMNS, ComparisonRow, main
 from addergen.families import (
@@ -64,6 +66,20 @@ class TestNetlistFormat:
         c = build_adder(spec)
         text = dumps_netlist(c, spec)
         assert dumps_netlist(loads_netlist(text).circuit, spec) == text
+
+    @pytest.mark.parametrize("kind", [AND, OR, XOR, NOT, BUF, NAND, NOR],
+                             ids=KIND_NAMES.__getitem__)
+    def test_gate_kind_round_trips(self, kind):
+        b = CircuitBuilder()
+        ins = [b.add_input() for _ in range(KIND_ARITY[kind])]
+        g = b.add_gate(kind, *ins)
+        b.mark_output(g)
+        c = b.build()
+        assert c.kind(g) == kind
+        text = dumps_netlist(c)
+        line = " ".join([str(g), KIND_NAMES[kind], *map(str, ins)])
+        assert text.split("\n")[g + 1] == line
+        assert loads_netlist(text).circuit.kind(g) == kind
 
     def test_file_round_trip_is_byte_identical(self, tmp_path):
         spec = AdderSpec("brent-kung", 4)

@@ -10,7 +10,9 @@ import random
 
 import pytest
 
-from addergen.circuit import Circuit, CircuitError, prune_dead
+from addergen.circuit import (
+    AND, BUF, NAND, NOR, NOT, OR, XOR, Circuit, CircuitError, prune_dead,
+)
 from addergen.families import (
     FAMILIES, AdderSpec, build_adder, build_full_adder,
 )
@@ -20,7 +22,7 @@ from addergen.semantics import (
 
 ALL_FAMILIES = sorted(FAMILIES)
 # kind code -> the code a kind swap gives it (same arity)
-SWAP = {1: 2, 2: 1, 3: 2, 4: 5, 5: 4, 6: 7, 7: 6}
+SWAP = {AND: OR, OR: AND, XOR: OR, NOT: BUF, BUF: NOT, NAND: NOR, NOR: NAND}
 MUTANTS_PER_CIRCUIT = 80
 
 
@@ -80,10 +82,10 @@ def kogge_stone_top_carry_mutant(n):
     consumer, and uniform patterns almost never exercise the lost term."""
     c = build_adder(AdderSpec("kogge-stone", n))
     top = c.output_ids[-1]
-    assert c.kind(top) == "or"
+    assert c.kind(top) == OR
     p, q = c.fanins(top)
-    g_hi, term = (p, q) if c.kind(q) == "and" else (q, p)
-    assert c.kind(term) == "and" and c._f1[term] == c.output_ids[n // 2 - 1]
+    g_hi, term = (p, q) if c.kind(q) == AND else (q, p)
+    assert c.kind(term) == AND and c._f1[term] == c.output_ids[n // 2 - 1]
     assert g_hi < term
     f1 = c._f1[:]
     f1[term] = g_hi
@@ -128,8 +130,8 @@ def test_k_operand_first_in_an_or():
     f0, f1 = c._f0[:], c._f1[:]
     f0[low], f1[low] = f1[low], f0[low]
     k_left = Circuit(c.name, c._codes, f0, f1, c.input_ids, c.output_ids)
-    assert k_left.kind(low) == "or"
-    assert k_left.kind(k_left.fanins(low)[0]) == "and"
+    assert k_left.kind(low) == OR
+    assert k_left.kind(k_left.fanins(low)[0]) == AND
     proof = prove_adder(k_left, 2)
     assert (proof.proven, proof.first_unlabelled) == (2, None)
     assert verify_adder(k_left, 2, mode="exhaustive").ok

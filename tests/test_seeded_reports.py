@@ -12,12 +12,12 @@ import hashlib
 
 import pytest
 
-from addergen.circuit import Circuit
+from addergen.circuit import AND, BUF, NAND, NOR, NOT, OR, XOR, Circuit
 from addergen.families import AdderSpec, build_adder, build_full_adder
 from addergen.semantics import verify_adder, verify_full_adder
 
 # kind code -> the code a kind swap gives it (same arity)
-SWAP = {1: 2, 2: 1, 3: 2, 4: 5, 5: 4, 6: 7, 7: 6}
+SWAP = {AND: OR, OR: AND, XOR: OR, NOT: BUF, BUF: NOT, NAND: NOR, NOR: NAND}
 
 
 def kind_swaps(c):

@@ -12,8 +12,9 @@ from addergen.circuit import (
 )
 from addergen.families import AdderSpec, build_adder, build_full_adder
 from addergen.semantics import (
-    CHUNK_BITS, VerifyReport, _grid_chunks, packed_ripple, simulate,
-    simulate_packed, verify_adder, verify_full_adder,
+    CHUNK_BITS, VerifyReport, _grid_chunks, packed_ripple, prove_adder,
+    prove_full_adder, simulate, simulate_packed, verify_adder,
+    verify_full_adder,
 )
 from tests.reference import (
     bits_to_int, block_signals, gp_prepare, int_to_bits, prefix_op,
@@ -200,7 +201,8 @@ class TestEnumerationWords:
 
 def _kind_mutants(c):
     """Two copies of c, each with one gate's kind swapped (and/or etc.)."""
-    swap = {1: 2, 2: 1, 3: 2, 4: 5, 5: 4, 6: 7, 7: 6}  # kind code -> code
+    swap = {AND: OR, OR: AND, XOR: OR, NOT: BUF, BUF: NOT, NAND: NOR,
+            NOR: NAND}
     gates = [nid for nid, code in enumerate(c._codes) if code]
     mutants = []
     for nid in (gates[len(gates) // 2], gates[-1]):
@@ -273,10 +275,20 @@ class TestVerifyAdder:
         with pytest.raises(ValueError):
             verify_adder(tiny_carry2(), 3)
 
-    @pytest.mark.parametrize("samples", [0, -5])
+    @pytest.mark.parametrize("samples", [0, -5, 2.5, "9", True])
     def test_random_mode_needs_a_sample(self, samples):
         with pytest.raises(ValueError, match="samples"):
             verify_adder(tiny_carry2(), 2, mode="random", samples=samples)
+
+    @pytest.mark.parametrize("check,build", [
+        (verify_adder, build_adder), (prove_adder, build_adder),
+        (verify_full_adder, build_full_adder),
+        (prove_full_adder, build_full_adder)])
+    @pytest.mark.parametrize("n", [True, 4.0, "4", None])
+    def test_width_must_be_an_int(self, check, build, n):
+        c = build(AdderSpec("ripple", 1 if n is True else 4))
+        with pytest.raises(ValueError, match=f"^n must be an int, got {n!r}$"):
+            check(c, n)
 
     def test_multi_chunk_exhaustive(self):
         # n=8 unrestricted sweeps 65536 lanes = two chunks at the default

@@ -7,7 +7,9 @@ plain reading of each definition.
 
 import pytest
 
-from addergen.circuit import Metrics, metrics, node_depths, prune_dead
+from addergen.circuit import (
+    KIND_NAMES, Metrics, metrics, node_depths, prune_dead,
+)
 from addergen.families import (
     FAMILIES, AdderSpec, build_adder, build_full_adder,
 )
@@ -37,7 +39,8 @@ def ref_metrics(c):
     histogram = {}
     for nid in range(len(c)):
         if not c.is_input(nid):
-            histogram[c.kind(nid)] = histogram.get(c.kind(nid), 0) + 1
+            name = KIND_NAMES[c.kind(nid)]
+            histogram[name] = histogram.get(name, 0) + 1
     return Metrics(depth=max(ref_node_depths(c)), size=c.num_gates,
                    max_fanout=max(ref_consumer_counts(c)), histogram=histogram)
 
