@@ -24,6 +24,13 @@ KIND_NAMES = ("input", "and", "or", "xor", "not", "buf", "nand", "nor")
 KIND_ARITY = (0, 2, 2, 2, 1, 1, 2, 2)  # fanins per kind code
 
 
+def _check_ints(**params):
+    """Raise ValueError naming a parameter that is not an int; a bool is not."""
+    for key, value in params.items():
+        if type(value) is not int:
+            raise ValueError(f"{key} must be an int, got {value!r}")
+
+
 class Violation(NamedTuple):
     rule: str
     node: int  # -1 for circuit-level problems
@@ -145,14 +152,20 @@ class Circuit:
     def num_gates(self) -> int:
         return len(self._codes) - len(self.input_ids)
 
+    def _id(self, nid) -> int:
+        """nid, once checked to name a node of this circuit."""
+        if type(nid) is not int or not 0 <= nid < len(self._codes):
+            raise ValueError(f"node id {nid!r} outside 0..{len(self) - 1}")
+        return nid
+
     def kind(self, nid: int) -> int:
-        return self._codes[nid]
+        return self._codes[self._id(nid)]
 
     def is_input(self, nid: int) -> bool:
-        return self._codes[nid] == INPUT
+        return self._codes[self._id(nid)] == INPUT
 
     def fanins(self, nid: int) -> tuple:
-        f0 = self._f0[nid]
+        f0 = self._f0[self._id(nid)]
         if f0 < 0:
             return ()
         f1 = self._f1[nid]

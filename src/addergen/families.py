@@ -72,20 +72,19 @@ def _next_pow2(n: int) -> int:
 
 FAMILIES = {
     "ripple": Family(
-        lambda n, spec: expand_to_logic(serial_prefix(n), name=f"ripple{n}"),
+        lambda n, spec: expand_to_logic(serial_prefix(n)),
         lambda n: n >= 1,
         frozenset()),
     "sklansky": Family(
-        lambda n, spec: expand_to_logic(sklansky(n), name=f"sklansky{n}"),
+        lambda n, spec: expand_to_logic(sklansky(n)),
         _is_pow2,
         frozenset()),
     "kogge-stone": Family(
-        lambda n, spec: expand_to_logic(kogge_stone(n),
-                                        name=f"kogge-stone{n}"),
+        lambda n, spec: expand_to_logic(kogge_stone(n)),
         _is_pow2,
         frozenset()),
     "brent-kung": Family(
-        lambda n, spec: expand_to_logic(brent_kung(n), name=f"brent-kung{n}"),
+        lambda n, spec: expand_to_logic(brent_kung(n)),
         _is_pow2,
         frozenset()),
     "mig": Family(

@@ -37,7 +37,7 @@ import math
 from operator import or_
 from typing import NamedTuple
 
-from .circuit import AND, BUF, OR, CircuitBuilder, Pool, lsb_carry
+from .circuit import AND, BUF, OR, CircuitBuilder, Pool, _check_ints, lsb_carry
 
 
 class MigParams(NamedTuple):
@@ -48,6 +48,7 @@ class MigParams(NamedTuple):
 
 def choose_params(n: int) -> MigParams:
     """Balanced block parameters: r = k = ceil(sqrt(ceil(ld n)))."""
+    _check_ints(n=n)
     if n < 1:
         raise ValueError("width must be positive")
     ld = (n - 1).bit_length()
@@ -218,6 +219,7 @@ def build_mig_adder(n: int, r: int | None = None, k: int | None = None):
         r, k, _ = choose_params(n)
     if r is None or k is None:
         raise ValueError("give both r and k, or neither")
+    _check_ints(n=n, r=r, k=k)
     if r < 1 or k < 1:
         raise ValueError("r and k must be positive")
     if n < 1 or n > 1 << (r * k):

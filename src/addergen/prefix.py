@@ -22,6 +22,7 @@ repeater chains.
 from __future__ import annotations
 
 from .circuit import AND, BUF, OR, CircuitBuilder, FanoutChain, lsb_carry
+from .circuit import _check_ints
 from .reduction import _carry_demand
 
 PAIR = "pair"
@@ -45,31 +46,22 @@ class PrefixNode:
 
 
 class PrefixGraph:
-    """A DAG of combine/repeat nodes over n input positions.
-
-    Output slot i holds the node covering [1, i]; marking an output counts
-    as one consumer, so fan-out figures include the marker exactly as the
-    logic level counts its output wires.
-    """
+    """A DAG of combine/repeat nodes over n input positions; output slot
+    i holds the node covering [1, i]."""
 
     def __init__(self, n, name=""):
+        _check_ints(n=n)
         if n < 1:
             raise ValueError("need at least one position")
         self.n = n
         self.name = name
         self.nodes = []
-        self.uses = []
         self.pairs = [self._new(PAIR, i, i) for i in range(1, n + 1)]
         self.outputs = [None] * n
 
     def _new(self, kind, s, t, upper=None, lower=None):
         node = PrefixNode(len(self.nodes), kind, s, t, upper, lower)
         self.nodes.append(node)
-        self.uses.append(0)
-        if upper is not None:
-            self.uses[upper.id] += 1
-        if lower is not None:
-            self.uses[lower.id] += 1
         return node
 
     def op(self, upper, lower):
@@ -86,45 +78,14 @@ class PrefixGraph:
         if self.outputs[i - 1] is not None:
             raise ValueError(f"output {i} already set")
         self.outputs[i - 1] = node
-        self.uses[node.id] += 1
-
-    # -- measurements ------------------------------------------------------
-
-    def size(self):
-        return sum(1 for v in self.nodes if v.kind != PAIR)
-
-    def counts(self):
-        out = {}
-        for v in self.nodes:
-            out[v.kind] = out.get(v.kind, 0) + 1
-        return out
-
-    def depth(self):
-        d = [0] * len(self.nodes)
-        best = 0
-        for v in self.nodes:
-            if v.kind == PAIR:
-                continue
-            dd = d[v.upper.id]
-            if v.lower is not None and d[v.lower.id] > dd:
-                dd = d[v.lower.id]
-            d[v.id] = dd + 1
-            if d[v.id] > best:
-                best = d[v.id]
-        return best
-
-    def max_fanout(self):
-        return max(self.uses, default=0)
-
-    def __repr__(self):
-        return (f"<PrefixGraph {self.name or '?'} n={self.n} "
-                f"size={self.size()} depth={self.depth()}>")
 
 
-def _ld(n):
+def _pow2_graph(n, name):
+    """An empty graph over n positions, n a power of two, and ld n."""
+    _check_ints(n=n)
     if n < 1 or n & (n - 1):
         raise ValueError(f"n must be a power of two, got {n}")
-    return n.bit_length() - 1
+    return PrefixGraph(n, name), n.bit_length() - 1
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +94,7 @@ def _ld(n):
 
 def serial_prefix(n) -> PrefixGraph:
     """Chain of n-1 combines; minimum size, depth n-1, fan-out two."""
-    g = PrefixGraph(n, "serial")
+    g = PrefixGraph(n, "ripple")
     acc = g.pairs[0]
     g.set_output(1, acc)
     for i in range(2, n + 1):
@@ -145,8 +106,7 @@ def serial_prefix(n) -> PrefixGraph:
 def sklansky(n) -> PrefixGraph:
     """Divide-and-conquer tree: depth ld n, size n/2 * ld n, but the block
     midpoints fan out to half a block plus the output marker."""
-    L = _ld(n)
-    g = PrefixGraph(n, "sklansky")
+    g, L = _pow2_graph(n, "sklansky")
     prev = list(g.pairs)
     for i in range(1, L + 1):
         half = 1 << (i - 1)
@@ -163,8 +123,7 @@ def kogge_stone(n) -> PrefixGraph:
     """Recursive-doubling grid: depth ld n at fan-out two, with a repeater
     column keeping the already-finished prefixes in step at every
     non-final level."""
-    L = _ld(n)
-    g = PrefixGraph(n, "kogge-stone")
+    g, L = _pow2_graph(n, "kogge-stone")
     prev = list(g.pairs)
     for i in range(1, L + 1):
         d = 1 << (i - 1)
@@ -192,10 +151,11 @@ def brent_kung(n) -> PrefixGraph:
     emits no x gate for them.  Each chain serves its corrections
     largest-stride-first — the order the descending correction phases
     consume them — and its output marker last.  This is the reduction
-    wrapper taken to tau = ld n, so chains are sized by its demand count.
+    wrapper taken to tau = ld n, so chains are sized by its demand count,
+    and a chain source's own consumers are known without counting: a
+    halving node feeds the next halving step, a correction nothing yet.
     """
-    L = _ld(n)
-    g = PrefixGraph(n, "brent-kung")
+    g, L = _pow2_graph(n, "brent-kung")
     levels = [list(g.pairs)]
     for _ in range(L):
         prev = levels[-1]
@@ -204,21 +164,20 @@ def brent_kung(n) -> PrefixGraph:
     P = {1: g.pairs[0]}
     chains = {}
 
-    def chain(m):
-        return FanoutChain(P[m], g.uses[P[m].id], _carry_demand(m, n, L),
-                           g.repeater)
+    def chain(m, used):
+        return FanoutChain(P[m], used, _carry_demand(m, n, L), g.repeater)
 
     for ell in range(1, L + 1):
         m = 1 << ell
         P[m] = levels[ell][0]
-        chains[m] = chain(m)
+        chains[m] = chain(m, int(ell < L))
     for s in range(L - 1, -1, -1):
         stride = 1 << s
         for j in range(3, n // stride + 1, 2):
             m = j * stride
             P[m] = g.op(levels[s][j - 1], chains[m - stride].take())
             if s >= 1:
-                chains[m] = chain(m)
+                chains[m] = chain(m, 0)
     for m in range(1, n + 1):
         if m == 1:
             g.set_output(1, P[1])
@@ -262,13 +221,13 @@ def _liveness(g: PrefixGraph):
     return x_live, y_live
 
 
-def expand_to_logic(g: PrefixGraph, name="") -> "Circuit":
+def expand_to_logic(g: PrefixGraph) -> "Circuit":
     """Turn a prefix graph into a gate-level carry circuit: 2n inputs in
     position order, n carry outputs, and only the gates those carries
     need (see _liveness).  The lowest carry is terminated through the
     absorbing y-or-(x-and-y) form so the otherwise dead x_1 keeps a
-    consumer."""
-    b = CircuitBuilder(name or f"{g.name or 'prefix'}{g.n}")
+    consumer.  The circuit is named after the graph and its width."""
+    b = CircuitBuilder(f"{g.name or 'prefix'}{g.n}")
     x_live, y_live = _liveness(g)
     xv = [None] * len(g.nodes)
     yv = [None] * len(g.nodes)

@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 
 from .circuit import AND, BUF, NOT, OR, Circuit, CircuitBuilder, FanoutChain
+from .circuit import _check_ints
 from .mig import build_mig_adder
 
 
@@ -101,6 +102,7 @@ def apply_reduction(n: int, tau: int, core: Circuit, style=None, name=""):
     exactly the core plus output markers.
     """
     style = style or OrAndStyle()
+    _check_ints(n=n, tau=tau)
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     if n % (1 << tau):
@@ -155,6 +157,7 @@ def reduction_depth_for(n: int) -> int:
     """The halving count used by build_linear_adder: enough steps that the
     inner core's superlinear size washes out, few enough that the depth
     overhead stays within the target bound."""
+    _check_ints(n=n)
     if n < 2 or n & (n - 1):
         raise ValueError("width must be a power of two, at least 2")
     ld = n.bit_length() - 1
@@ -170,12 +173,11 @@ def build_linear_adder(n: int, tau=None):
     tau overrides the halving count; the default balances size against
     depth per reduction_depth_for.
     """
-    if tau is None:
-        tau = reduction_depth_for(n)
-    else:
-        reduction_depth_for(n)  # reject widths outside the domain
-        ld = n.bit_length() - 1
-        if not 0 <= tau <= ld - 1:
-            raise ValueError(f"tau must lie in [0, {ld - 1}] for width {n}")
+    default = reduction_depth_for(n)  # rejects widths outside the domain
+    tau = default if tau is None else tau
+    _check_ints(tau=tau)
+    ld = n.bit_length() - 1
+    if not 0 <= tau <= ld - 1:
+        raise ValueError(f"tau must lie in [0, {ld - 1}] for width {n}")
     return apply_reduction(n, tau, build_mig_adder(n >> tau),
                            name=f"linear{n}")

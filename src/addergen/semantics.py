@@ -20,7 +20,7 @@ from itertools import count
 from typing import NamedTuple
 
 from .circuit import AND, BUF, INPUT, KIND_NAMES, NAND, NOR, NOT, OR, XOR
-from .circuit import Circuit
+from .circuit import Circuit, _check_ints
 
 # ---------------------------------------------------------------------------
 # packed simulation
@@ -83,6 +83,9 @@ def simulate_packed(c: Circuit, input_words, width):
 def simulate(c: Circuit, assignment: dict) -> dict:
     """Single-pattern evaluation; maps every input id to a bit, returns
     output id -> bit."""
+    stray = sorted(assignment.keys() - set(c.input_ids), key=repr)
+    if stray:
+        raise ValueError(f"assignment keys {stray} are not input ids")
     for nid in c.input_ids:
         if nid not in assignment:
             raise ValueError(f"input {nid} missing from the assignment")
@@ -258,8 +261,7 @@ def _run_phase(c, name, chunks, oracle):
 def _check_interface(c, n, extra):
     """Raise ValueError unless n is an int (not a bool), CircuitError unless
     c validates, ValueError unless it has 2n inputs and n + extra outputs."""
-    if type(n) is not int:
-        raise ValueError(f"n must be an int, got {n!r}")
+    _check_ints(n=n)
     c.check()
     if len(c.input_ids) != 2 * n:
         raise ValueError(f"expected {2 * n} inputs, circuit has {len(c.input_ids)}")
@@ -301,8 +303,7 @@ def _verify(c, n, extra, oracle, grids, labels, mode, samples, seed):
             chunks = _grid_chunks(n, base, first, second)
             phases.append(_run_phase(c, name, chunks, oracle))
     elif mode == "random":
-        if type(samples) is not int:
-            raise ValueError(f"samples must be an int, got {samples!r}")
+        _check_ints(samples=samples)
         if samples < 1:
             raise ValueError(f"samples must be at least 1, got {samples}")
         rng = random.Random(seed)

@@ -112,7 +112,8 @@ def levelize(c: Circuit, input_rows=None) -> LevelizedCircuit:
 
     # a stable sort keeps id order within a row
     for nid in sorted(compress(range(n), codes), key=lvl.__getitem__):
-        fs = tuple(alias_at(f, lvl[nid] - 1) for f in c.fanins(nid))
+        fs = (f0[nid],) if f1[nid] < 0 else (f0[nid], f1[nid])
+        fs = [alias_at(f, lvl[nid] - 1) for f in fs]
         remap[nid] = b.add_gate(codes[nid], *fs)
         rows.append(lvl[nid])
     for oid in c.output_ids:

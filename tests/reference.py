@@ -1,5 +1,5 @@
-"""Reference semantics and the raw mig structure, beside the tests that
-compare against them.
+"""Reference semantics, prefix-graph figures and the raw mig structure,
+beside the tests that compare against them.
 
 The scalar semantics fold over bit lists and integers independently of
 any circuit, so a circuit's carries and sums are checked against a
@@ -10,10 +10,16 @@ closed size formulas state its size: every carry pool holds 2**(r-1)
 copies, every tap 2**r leaves, and every generate gate reads its lowest
 column's tap.  The library builds only its pruned form, and the tests
 check that `prune_dead` of the raw structure is exactly that build.
+
+A prefix graph's own depth, size and fan-out are read off a circuit with
+one node per graph node, through the walks `metrics` uses.
 """
 
-from addergen.circuit import BUF, CircuitBuilder, Pool, lsb_carry
+from addergen.circuit import (
+    AND, BUF, CircuitBuilder, Pool, lsb_carry, node_depths,
+)
 from addergen.mig import _generate_gate, _replicate, _windows, choose_params
+from addergen.prefix import OP, PAIR
 
 # ---------------------------------------------------------------------------
 # scalar reference semantics
@@ -67,6 +73,35 @@ def bits_to_int(bits):
     for i, bit in enumerate(bits):
         out |= (bit & 1) << i
     return out
+
+
+# ---------------------------------------------------------------------------
+# prefix-graph figures
+
+
+def graph_circuit(g):
+    """One circuit node per node of prefix graph g, with the same ids: an
+    input per pair, an AND per op and a BUF per repeater, outputs marked.
+    An output may be a pair, so `metrics` would reject the circuit."""
+    b = CircuitBuilder(g.name)
+    for v in g.nodes:
+        if v.kind == PAIR:
+            b.add_input()
+        elif v.kind == OP:
+            b.add_gate(AND, v.upper.id, v.lower.id)
+        else:
+            b.add_gate(BUF, v.upper.id)
+    for v in g.outputs:
+        b.mark_output(v.id)
+    return b.build()
+
+
+def graph_figures(g):
+    """(size, depth, max fan-out) of prefix graph g: its combines and
+    repeaters, its longest node path, and its most consumers of a node,
+    an output marker counting as one."""
+    c = graph_circuit(g)
+    return c.num_gates, max(node_depths(c)), max(c.consumer_counts())
 
 
 # ---------------------------------------------------------------------------

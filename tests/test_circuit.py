@@ -97,6 +97,16 @@ class TestBuilder:
         with pytest.raises(ValueError, match=f"^output id {nid} out of range$"):
             b.mark_output(nid)
 
+    @pytest.mark.parametrize("method", ["kind", "fanins", "is_input"])
+    @pytest.mark.parametrize("nid", [-1, -9, 9, 1.0, True])
+    def test_node_queries_reject_ids_outside_the_circuit(self, method, nid):
+        # ripple 2 has nodes 0..8; a negative id must not count from the end
+        c = build_adder(AdderSpec("ripple", 2))
+        assert len(c) == 9
+        with pytest.raises(ValueError,
+                           match=rf"^node id {nid!r} outside 0\.\.8$"):
+            getattr(c, method)(nid)
+
     def test_inline_binds_inputs_to_leaves(self):
         core = tiny_carry2()
         b = CircuitBuilder()

@@ -6,6 +6,9 @@ from addergen.circuit import metrics, validate
 from addergen.families import (
     FAMILIES, AdderSpec, build_adder, build_full_adder, verify_full_adder,
 )
+from addergen.mig import build_mig_adder
+from addergen.prefix import kogge_stone, serial_prefix
+from addergen.reduction import apply_reduction, build_linear_adder
 from addergen.semantics import simulate_packed, verify_adder
 
 ALL_FAMILIES = sorted(FAMILIES)
@@ -50,6 +53,25 @@ class TestRegistry:
                                                      problem):
         with pytest.raises(ValueError, match=f"^bad spec: {problem}$"):
             build(spec)
+
+    # direct builder calls hold parameters to the spec's rule: an int, and
+    # not a bool; each call here built a circuit or ended in another error
+    @pytest.mark.parametrize("call, problem", [
+        (lambda: build_mig_adder(4, r=True, k=2), "r must be an int, got True"),
+        (lambda: build_mig_adder(16, r=1.5, k=2), "r must be an int, got 1.5"),
+        (lambda: build_mig_adder(4.0), "n must be an int, got 4.0"),
+        (lambda: build_linear_adder(16, tau=True),
+         "tau must be an int, got True"),
+        (lambda: build_linear_adder(16, tau=1.0),
+         "tau must be an int, got 1.0"),
+        (lambda: apply_reduction(4, True, build_adder(AdderSpec("ripple", 2))),
+         "tau must be an int, got True"),
+        (lambda: kogge_stone(4.0), "n must be an int, got 4.0"),
+        (lambda: serial_prefix(True), "n must be an int, got True"),
+    ])
+    def test_ill_typed_builder_parameters_rejected(self, call, problem):
+        with pytest.raises(ValueError, match=f"^{problem}$"):
+            call()
 
     def test_mig_needs_both_window_parameters(self):
         with pytest.raises(ValueError, match="both"):

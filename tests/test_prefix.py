@@ -1,14 +1,16 @@
 """Prefix-graph layer: frozen size/depth/fan-out figures for the four
-classical shapes, structural invariants, and expansion to verified logic."""
+classical shapes (read through tests.reference.graph_circuit), structural
+invariants, and expansion to verified logic."""
 
 import pytest
 
-from addergen.circuit import metrics, validate
+from addergen.circuit import AND, BUF, INPUT, metrics, validate
 from addergen.prefix import (
-    OP, PAIR, REPEATER, PrefixGraph,
-    brent_kung, expand_to_logic, kogge_stone, serial_prefix, sklansky,
+    PrefixGraph, brent_kung, expand_to_logic, kogge_stone, serial_prefix,
+    sklansky,
 )
 from addergen.semantics import verify_adder
+from tests.reference import graph_circuit, graph_figures
 
 BUILDERS = {
     "serial": serial_prefix,
@@ -42,7 +44,7 @@ class TestGraphBasics:
     def test_marker_counts_as_consumer(self):
         g = serial_prefix(4)
         # every chain node feeds the next combine and carries a marker
-        assert g.max_fanout() == 2
+        assert graph_figures(g)[2] == 2
 
 
 # frozen prefix-level figures: (n, size, depth, max fan-out)
@@ -61,47 +63,51 @@ class TestPrefixNumbers:
     @pytest.mark.parametrize("family,rows", sorted(PREFIX_NUMBERS.items()))
     def test_size_depth_fanout(self, family, rows):
         for n, size, depth, fanout in rows:
-            g = BUILDERS[family](n)
-            assert g.size() == size, (family, n)
-            assert g.depth() == depth, (family, n)
-            assert g.max_fanout() == fanout, (family, n)
+            figures = graph_figures(BUILDERS[family](n))
+            assert figures == (size, depth, fanout), (family, n)
 
     @pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256])
     def test_size_formulas(self, n):
         L = n.bit_length() - 1
-        assert kogge_stone(n).size() == n * L - n // 2
-        assert sklansky(n).size() == n * L // 2
-        assert serial_prefix(n).size() == n - 1
+        assert graph_figures(kogge_stone(n))[0] == n * L - n // 2
+        assert graph_figures(sklansky(n))[0] == n * L // 2
+        assert graph_figures(serial_prefix(n))[0] == n - 1
         # the fan-out-two double tree stays within its size budget
         bound = -(-(5 * n - L - 8) // 2)
-        assert brent_kung(n).size() <= bound
+        assert graph_figures(brent_kung(n))[0] <= bound
 
-    @pytest.mark.parametrize("n", [4, 8, 16, 32, 64, 128])
+    @pytest.mark.parametrize(
+        "n", [2, 4, 8, 16, 32, 64, 128, 256, 1024, 4096])
     def test_depth_formulas(self, n):
         L = n.bit_length() - 1
-        assert kogge_stone(n).depth() == L
-        assert sklansky(n).depth() == L
-        assert brent_kung(n).depth() == 2 * L - 1
+        assert graph_figures(kogge_stone(n))[1] == L
+        assert graph_figures(sklansky(n))[1] == L
+        assert graph_figures(brent_kung(n))[1] == 2 * L - 1
 
-    @pytest.mark.parametrize("n", [4, 8, 16, 32, 64, 128])
+    @pytest.mark.parametrize(
+        "n", [2, 4, 8, 16, 32, 64, 128, 256, 1024, 4096])
     def test_fanout_two_families(self, n):
-        assert kogge_stone(n).max_fanout() == 2
-        assert brent_kung(n).max_fanout() == 2
+        assert graph_figures(kogge_stone(n))[2] == 2
+        assert graph_figures(brent_kung(n))[2] == 2
 
     def test_sklansky_fanout_grows(self):
         for n in (4, 8, 16, 32, 64):
-            assert sklansky(n).max_fanout() == n // 2 + 1
+            assert graph_figures(sklansky(n))[2] == n // 2 + 1
+
+    @staticmethod
+    def node_mix(g):
+        """(pairs, ops, repeaters) of g, as graph_circuit's kinds."""
+        c = graph_circuit(g)
+        kinds = [c.kind(nid) for nid in range(len(c))]
+        return kinds.count(INPUT), kinds.count(AND), kinds.count(BUF)
 
     def test_brent_kung_node_mix(self):
-        c = brent_kung(16).counts()
-        assert c[OP] == 26       # 15 halving, 11 corrections (n - ld n - 1)
-        assert c[REPEATER] == 7       # distribution chains
-        assert c[PAIR] == 16
+        # 26 ops: 15 halving, 11 corrections (n - ld n - 1); 7 repeaters
+        # in the distribution chains
+        assert self.node_mix(brent_kung(16)) == (16, 26, 7)
 
     def test_kogge_stone_node_mix(self):
-        c = kogge_stone(16).counts()
-        assert c[OP] == 49
-        assert c[REPEATER] == 7
+        assert self.node_mix(kogge_stone(16))[1:] == (49, 7)
 
     def test_power_of_two_required(self):
         for family in ("sklansky", "kogge-stone", "brent-kung"):

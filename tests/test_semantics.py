@@ -3,6 +3,7 @@ against integer arithmetic, and the packed simulator/verifier against the
 scalar path and hand-built circuits."""
 
 import random
+import re
 
 import pytest
 
@@ -146,6 +147,15 @@ class TestPackedSimulation:
         with pytest.raises(ValueError,
                            match="^input 2 missing from the assignment$"):
             simulate(c, {0: 1, 1: 0, 3: 1})
+
+    def test_stray_assignment_keys_named(self):
+        c = build_adder(AdderSpec("ripple", 2))
+        bits = {0: 1, 1: 0, 2: 1, 3: 1}
+        assert simulate(c, bits) == {8: 0, 5: 1}
+        for stray, named in (({-1: 1}, "[-1]"), ({5: 0, "x": 1}, "['x', 5]")):
+            with pytest.raises(ValueError, match=rf"^assignment keys "
+                               rf"{re.escape(named)} are not input ids$"):
+                simulate(c, {**bits, **stray})
 
     def test_packed_ripple_matches_scalar_lanes(self):
         rng = random.Random(2)
