@@ -31,6 +31,13 @@ def _check_ints(**params):
             raise ValueError(f"{key} must be an int, got {value!r}")
 
 
+def _check_bits(assignment: dict):
+    """Raise ValueError naming a key whose value is not the int 0 or 1."""
+    for key, value in assignment.items():
+        if type(value) is not int or value not in (0, 1):
+            raise ValueError(f"input {key!r} must be 0 or 1, got {value!r}")
+
+
 class Violation(NamedTuple):
     rule: str
     node: int  # -1 for circuit-level problems
@@ -50,14 +57,13 @@ class CircuitBuilder:
     """Append-only constructor holding only the circuit arrays; consumers
     are counted by Circuit.consumer_counts on a built circuit."""
 
-    __slots__ = ("name", "_codes", "_f0", "_f1", "_inputs", "_outputs")
+    __slots__ = ("name", "_codes", "_f0", "_f1", "_outputs")
 
     def __init__(self, name=""):
         self.name = name
         self._codes = array("b")
         self._f0 = array("i")
         self._f1 = array("i")
-        self._inputs = []
         self._outputs = []
 
     def __len__(self):
@@ -68,7 +74,6 @@ class CircuitBuilder:
         self._codes.append(INPUT)
         self._f0.append(-1)
         self._f1.append(-1)
-        self._inputs.append(nid)
         return nid
 
     def add_gate(self, kind: int, a: int, b: int | None = None) -> int:
@@ -123,24 +128,24 @@ class CircuitBuilder:
 
     def build(self) -> "Circuit":
         """The circuit so far, on copies that later appends leave alone."""
-        return Circuit(
-            self.name, self._codes[:], self._f0[:], self._f1[:],
-            tuple(self._inputs), tuple(self._outputs),
-        )
+        return Circuit(self.name, self._codes[:], self._f0[:], self._f1[:],
+                       tuple(self._outputs))
 
 
 class Circuit:
-    """Immutable view of a built circuit."""
+    """Immutable view of a built circuit; its inputs are its input nodes."""
 
     __slots__ = ("name", "_codes", "_f0", "_f1", "input_ids", "output_ids",
                  "_consumers", "_violations")
 
-    def __init__(self, name, codes, f0, f1, input_ids, output_ids):
+    def __init__(self, name, codes, f0, f1, output_ids):
         self.name = name
         self._codes = codes
         self._f0 = f0
         self._f1 = f1
-        self.input_ids = input_ids
+        # input ids in id order: each ends one piece of the codes split on 0
+        steps = [len(p) + 1 for p in codes.tobytes().split(b"\0")[:-1]]
+        self.input_ids = tuple(accumulate(steps, initial=-1))[1:]
         self.output_ids = output_ids
         self._consumers = None
         self._violations = None
@@ -212,19 +217,18 @@ def validate(c: Circuit) -> list:
     """
     codes, f0, f1 = c._codes, c._f0, c._f1
     n = len(codes)
-    input_set = set(c.input_ids)
     out = []
     if c.num_gates == 0:
         out.append(Violation("no-gates", -1, "circuit has no gates"))
-    # suspects: nodes whose marking or fanins (earlier ids, -1 where absent)
-    # do not fit their kind; only they get the per-rule report below
+    # suspects: nodes whose fanins (earlier ids, -1 where absent) do not
+    # fit their kind; only they get the per-rule report below
     suspects = []
     for nid, code, a, b in zip(count(), codes, f0, f1):
         if code:
-            if (not -1 < a < nid or b >= nid or nid in input_set
+            if (not -1 < a < nid or b >= nid
                     or (b < 0 if KIND_ARITY[code] == 2 else b != -1)):
                 suspects.append(nid)
-        elif a != -1 or b != -1 or nid not in input_set:
+        elif a != -1 or b != -1:
             suspects.append(nid)
     if suspects:
         f0, f1 = array("i", f0), array("i", f1)
@@ -232,9 +236,6 @@ def validate(c: Circuit) -> list:
         code, a, b = codes[nid], f0[nid], f1[nid]
         fans = () if a < 0 else (a,) if b < 0 else (a, b)
         if code == INPUT:
-            if nid not in input_set:
-                out.append(Violation("input-marking", nid,
-                                     "input-kind node missing from input list"))
             if fans:
                 out.append(Violation("arity", nid, "input with fanins"))
         else:
@@ -245,9 +246,6 @@ def validate(c: Circuit) -> list:
                 if not 0 <= f < nid:
                     out.append(Violation("ordering", nid,
                                          f"fanin {f} not earlier"))
-            if nid in input_set:
-                out.append(Violation("input-marking", nid,
-                                     "gate listed as input"))
         kept = [f for f in fans if 0 <= f < nid] + [-1, -1]
         f0[nid], f1[nid] = kept[0], kept[1]
     outputs = []
@@ -262,7 +260,7 @@ def validate(c: Circuit) -> list:
     counted = c
     if suspects or len(outputs) != len(c.output_ids):
         # consumers are counted over the references that passed the checks
-        counted = Circuit(c.name, codes, f0, f1, c.input_ids, tuple(outputs))
+        counted = Circuit(c.name, codes, f0, f1, tuple(outputs))
     for nid in compress(count(), map(not_, counted.consumer_counts())):
         if codes[nid] == INPUT:
             out.append(Violation("dangling-input", nid, "input drives nothing"))
@@ -272,9 +270,15 @@ def validate(c: Circuit) -> list:
     return out
 
 
-def node_depths(c: Circuit) -> list:
-    """Longest gate count from any input to each node (inputs are 0)."""
+def node_depths(c: Circuit, input_rows=None) -> list:
+    """Longest gate count from any input to each node, the inputs sitting
+    at 0 or, when input_rows is given, one row per input of c.input_ids."""
     depths = [0] * (len(c) + 1)  # slot -1 stays 0 for an absent fanin
+    if input_rows is not None:
+        if len(input_rows) != len(c.input_ids):
+            raise ValueError("need one row per input")
+        for nid, row in zip(c.input_ids, input_rows):
+            depths[nid] = row
     for nid, a, b in zip(count(), c._f0, c._f1):
         if a >= 0:
             da, db = depths[a], depths[b]
@@ -321,7 +325,6 @@ def prune_dead(c: Circuit) -> Circuit:
     f1 = array("i", map(remap.__getitem__, compress(c._f1, live)))
     codes = array("b", bytes(compress(c._codes, live)))
     return Circuit(c.name, codes, f0, f1,
-                   tuple(remap[nid] for nid in c.input_ids),
                    tuple(remap[oid] for oid in c.output_ids))
 
 
@@ -345,13 +348,14 @@ def constant_fold(c: Circuit, assignment: dict, keep_outputs=None) -> Circuit:
     for nid in assignment:
         if nid not in inputs:
             raise ValueError(f"assignment target {nid} is not an input")
+    _check_bits(assignment)
     b = CircuitBuilder(c.name)
     const = {}  # old id -> 0/1
     remap = {}  # old id -> new id
     for nid, code, x, y in zip(count(), c._codes, c._f0, c._f1):
         if code == INPUT:
             if nid in assignment:
-                const[nid] = assignment[nid] & 1
+                const[nid] = assignment[nid]
             else:
                 remap[nid] = b.add_input()
             continue

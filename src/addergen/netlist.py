@@ -127,7 +127,7 @@ def loads_netlist(text: str) -> NetlistFile:
         if problem:
             raise ValueError(f"bad spec in header: {problem}")
     codes, f0, f1 = array("b"), array("i"), array("i")
-    inputs, outputs = [], []
+    outputs = []
     for ln, line in enumerate(lines[1:], start=2):
         if not line:
             raise ValueError(f"line {ln}: blank line")
@@ -155,7 +155,6 @@ def loads_netlist(text: str) -> NetlistFile:
                              else f"line {ln}: {kind} expects {want} fanins, "
                              f"got {len(parts) - 2}")
         if code == INPUT:
-            inputs.append(nid)
             a = b = -1
         else:
             try:
@@ -177,8 +176,7 @@ def loads_netlist(text: str) -> NetlistFile:
         if str(nid) != oid or not 0 <= nid < len(codes):
             raise ValueError(f"bad output id {oid!r}")
         output_ids.append(nid)
-    c = Circuit(str(header.get("name", "")), codes, f0, f1, tuple(inputs),
-                tuple(output_ids))
+    c = Circuit(str(header.get("name", "")), codes, f0, f1, tuple(output_ids))
     try:
         c.check()
     except CircuitError as e:

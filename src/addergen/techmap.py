@@ -51,6 +51,7 @@ from .circuit import (
     OR,
     Circuit,
     CircuitBuilder,
+    node_depths,
 )
 from .mig import build_mig_adder
 from .reduction import apply_reduction, reduction_depth_for
@@ -71,19 +72,12 @@ def levelize(c: Circuit, input_rows=None) -> LevelizedCircuit:
     """
     n = len(c)
     codes, f0, f1 = c._codes, c._f0, c._f1
-    lvl = [0] * (n + 1)  # spare slot -1 stands in for the absent fanin -1
-    if input_rows is not None:
-        if len(input_rows) != len(c.input_ids):
-            raise ValueError("need one row per input")
-        for nid, row in zip(c.input_ids, input_rows):
-            lvl[nid] = row
-    for nid in compress(range(n), codes):
-        lvl[nid] = 1 + max(lvl[f0[nid]], lvl[f1[nid]])
+    lvl = node_depths(c, input_rows)
     # one reverse slack pass: drop every non-output gate to just above its
     # earliest consumer row, final by then since consumers have higher ids;
     # outputs stay put so their rows equal their original depths
     pinned = set(c.output_ids)
-    top = max(lvl) + 1
+    top = max(lvl, default=0) + 1
     first = [top] * (n + 1)
     for nid in range(n - 1, -1, -1):
         if not codes[nid]:
@@ -95,19 +89,16 @@ def levelize(c: Circuit, input_rows=None) -> LevelizedCircuit:
 
     b = CircuitBuilder(c.name)
     remap = [-1] * n
-    rows = []  # row of each node of the result
     chains = {}  # source -> its copies on rows lvl[src], lvl[src] + 1, ...
 
     for nid in c.input_ids:
         remap[nid] = b.add_input()
-        rows.append(lvl[nid])
 
     def alias_at(src: int, row: int) -> int:
         """The (shared) copy of src's signal sitting on `row`."""
         chain = chains.setdefault(src, [remap[src]])
         while len(chain) <= row - lvl[src]:
             chain.append(b.add_gate(BUF, chain[-1]))
-            rows.append(lvl[src] + len(chain) - 1)
         return chain[row - lvl[src]]
 
     # a stable sort keeps id order within a row
@@ -115,10 +106,11 @@ def levelize(c: Circuit, input_rows=None) -> LevelizedCircuit:
         fs = (f0[nid],) if f1[nid] < 0 else (f0[nid], f1[nid])
         fs = [alias_at(f, lvl[nid] - 1) for f in fs]
         remap[nid] = b.add_gate(codes[nid], *fs)
-        rows.append(lvl[nid])
     for oid in c.output_ids:
         b.mark_output(remap[oid])
-    return LevelizedCircuit(b.build(), tuple(rows))
+    # every gate reads the row right above it, so rows are arrival depths
+    result = b.build()
+    return LevelizedCircuit(result, tuple(node_depths(result, input_rows)))
 
 
 _ODD_ROW = {AND: NAND, OR: NOR, BUF: NOT}
@@ -143,7 +135,7 @@ def _demorgan(lc: LevelizedCircuit):
             raise ValueError(
                 f"cannot map {KIND_NAMES[code]!r} gates; expected and/or/buf")
         codes[nid] = kind
-    mapped = Circuit(c.name, codes, c._f0, c._f1, c.input_ids, c.output_ids)
+    mapped = Circuit(c.name, codes, c._f0, c._f1, c.output_ids)
     return mapped, tuple(bool(lc.levels[oid] % 2) for oid in c.output_ids)
 
 

@@ -220,10 +220,10 @@ class TestCheck:
         assert len(walks) == 1
 
 
-def raw_circuit(codes, f0, f1, inputs, outputs):
+def raw_circuit(codes, f0, f1, outputs):
     """A Circuit straight from arrays, bypassing the builder's checks."""
     return Circuit("raw", array("b", codes), array("i", f0), array("i", f1),
-                   tuple(inputs), tuple(outputs))
+                   tuple(outputs))
 
 
 def found(c):
@@ -234,13 +234,12 @@ class TestViolationRules:
     """Every rule, with its exact node, detail text and report order."""
 
     def test_arity_input_with_fanins(self):
-        c = raw_circuit([0, 0, 1], [-1, 0, 0], [-1, -1, 1], (0, 1), (2,))
+        c = raw_circuit([0, 0, 1], [-1, 0, 0], [-1, -1, 1], (2,))
         assert found(c) == [("arity", 1, "input with fanins")]
 
     def test_arity_wrong_gate_fanin_count(self):
         # node 2 is a two-fanin not, node 3 a one-fanin and
-        c = raw_circuit([0, 0, 4, 1], [-1, -1, 0, 2], [-1, -1, 1, -1],
-                        (0, 1), (3,))
+        c = raw_circuit([0, 0, 4, 1], [-1, -1, 0, 2], [-1, -1, 1, -1], (3,))
         assert found(c) == [("arity", 2, "not has 2 fanins"),
                             ("arity", 3, "and has 1 fanins")]
 
@@ -248,57 +247,51 @@ class TestViolationRules:
         # node 2 reads the later node 3, node 4 reads itself; both of
         # those nodes are outputs, so no consumer count hinges on the loop
         c = raw_circuit([0, 0, 1, 4, 3], [-1, -1, 0, 1, 2], [-1, -1, 3, -1, 4],
-                        (0, 1), (2, 3, 4))
+                        (2, 3, 4))
         assert found(c) == [("ordering", 2, "fanin 3 not earlier"),
                             ("ordering", 4, "fanin 4 not earlier")]
 
-    def test_input_marking_both_ways(self):
-        # node 1 is input-kind but unlisted, node 3 is a gate listed as input
-        c = raw_circuit([0, 0, 1, 4], [-1, -1, 0, 2], [-1, -1, 1, -1],
-                        (0, 3), (3,))
-        assert found(c) == [
-            ("input-marking", 1, "input-kind node missing from input list"),
-            ("input-marking", 3, "gate listed as input")]
+    def test_inputs_are_the_input_nodes(self):
+        # no input list to disagree with: the inputs are the input-kind nodes
+        c = raw_circuit([0, 0, 1, 4], [-1, -1, 0, 2], [-1, -1, 1, -1], (3,))
+        assert c.input_ids == (0, 1)
+        assert found(c) == []
 
     def test_output_range(self):
         # -1 lands on the last node, which is an output anyway
-        c = raw_circuit([0, 0, 1], [-1, -1, 0], [-1, -1, 1], (0, 1), (2, -1))
+        c = raw_circuit([0, 0, 1], [-1, -1, 0], [-1, -1, 1], (2, -1))
         assert found(c) == [("output-range", -1, "output id out of range")]
 
     def test_output_on_input(self):
-        c = raw_circuit([0, 0, 1], [-1, -1, 0], [-1, -1, 1], (0, 1), (2, 0))
+        c = raw_circuit([0, 0, 1], [-1, -1, 0], [-1, -1, 1], (2, 0))
         assert found(c) == [
             ("output-on-input", 0, "output marker must name a gate")]
 
     def test_dangling_input(self):
-        c = raw_circuit([0, 0, 4], [-1, -1, 1], [-1, -1, -1], (0, 1), (2,))
+        c = raw_circuit([0, 0, 4], [-1, -1, 1], [-1, -1, -1], (2,))
         assert found(c) == [("dangling-input", 0, "input drives nothing")]
 
     def test_dangling_gate(self):
-        c = raw_circuit([0, 0, 1, 4], [-1, -1, 0, 0], [-1, -1, 1, -1],
-                        (0, 1), (2,))
+        c = raw_circuit([0, 0, 1, 4], [-1, -1, 0, 0], [-1, -1, 1, -1], (2,))
         assert found(c) == [
             ("dangling-gate", 3, "gate has no consumer and is not an output")]
 
     def test_no_gates(self):
-        c = raw_circuit([0, 0], [-1, -1], [-1, -1], (0, 1), ())
+        c = raw_circuit([0, 0], [-1, -1], [-1, -1], ())
         assert found(c) == [("no-gates", -1, "circuit has no gates"),
                             ("dangling-input", 0, "input drives nothing"),
                             ("dangling-input", 1, "input drives nothing")]
 
     def test_rules_report_in_pass_order(self):
-        # node checks in id order (per node: marking or arity, then
-        # ordering, then marking of gates), then outputs, then consumers
+        # node checks in id order (per node: arity, then ordering), then
+        # outputs, then consumers
         c = raw_circuit([0, 0, 0, 4, 1, 5], [-1, 0, -1, 0, 3, 3],
-                        [-1, -1, -1, 5, 4, -1], (0, 4), (4, 5, 0))
+                        [-1, -1, -1, 5, 4, -1], (4, 5, 0))
         assert found(c) == [
-            ("input-marking", 1, "input-kind node missing from input list"),
             ("arity", 1, "input with fanins"),
-            ("input-marking", 2, "input-kind node missing from input list"),
             ("arity", 3, "not has 2 fanins"),
             ("ordering", 3, "fanin 5 not earlier"),
             ("ordering", 4, "fanin 4 not earlier"),
-            ("input-marking", 4, "gate listed as input"),
             ("output-on-input", 0, "output marker must name a gate"),
             ("dangling-input", 1, "input drives nothing"),
             ("dangling-input", 2, "input drives nothing"),
@@ -312,14 +305,14 @@ class TestValidateBadReferences:
                      "gate has no consumer and is not an output")
 
     def test_output_id_past_the_end(self):
-        c = raw_circuit([0, 0, 1], [-1, -1, 0], [-1, -1, 1], (0, 1), (7,))
+        c = raw_circuit([0, 0, 1], [-1, -1, 0], [-1, -1, 1], (7,))
         assert found(c) == [("output-range", 7, "output id out of range"),
                             self.DANGLING_GATE]
         with pytest.raises(CircuitError, match="output-range@7"):
             metrics(c)
 
     def test_fanin_past_the_end(self):
-        c = raw_circuit([0, 0, 1], [-1, -1, 0], [-1, -1, 9], (0, 1), (2,))
+        c = raw_circuit([0, 0, 1], [-1, -1, 0], [-1, -1, 9], (2,))
         assert found(c) == [("ordering", 2, "fanin 9 not earlier"),
                             ("dangling-input", 1, "input drives nothing")]
         with pytest.raises(CircuitError, match="ordering@2"):
@@ -327,14 +320,12 @@ class TestValidateBadReferences:
 
     def test_negative_output_id_hides_no_dangling_gate(self):
         # -2 must not count as a consumer of node 2, the second to last
-        c = raw_circuit([0, 0, 1, 4], [-1, -1, 0, 0], [-1, -1, 1, -1],
-                        (0, 1), (3, -2))
+        c = raw_circuit([0, 0, 1, 4], [-1, -1, 0, 0], [-1, -1, 1, -1], (3, -2))
         assert found(c) == [("output-range", -2, "output id out of range"),
                             self.DANGLING_GATE]
 
     def test_later_fanin_is_no_consumer(self):
-        c = raw_circuit([0, 0, 1, 4], [-1, -1, 0, 1], [-1, -1, 3, -1],
-                        (0, 1), (2,))
+        c = raw_circuit([0, 0, 1, 4], [-1, -1, 0, 1], [-1, -1, 3, -1], (2,))
         assert found(c) == [
             ("ordering", 2, "fanin 3 not earlier"),
             ("dangling-gate", 3, "gate has no consumer and is not an output")]

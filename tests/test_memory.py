@@ -102,7 +102,7 @@ def chain_circuit(size):
         codes.append(NOT if nid % 2 else AND)
         f0.append(nid - 1)
         f1.append(-1 if nid % 2 else 0)
-    return Circuit(f"chain{size}", codes, f0, f1, (0,) * min(size, 1),
+    return Circuit(f"chain{size}", codes, f0, f1,
                    (size - 1,) if size > 1 else ())
 
 

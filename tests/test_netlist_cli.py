@@ -66,6 +66,16 @@ class TestNetlistFormat:
         c = build_adder(spec)
         text = dumps_netlist(c, spec)
         assert dumps_netlist(loads_netlist(text).circuit, spec) == text
+        # the positional interface survives too, padded (6) and native (8)
+        for n, full in ((6, False), (6, True), (8, False), (8, True)):
+            spec = AdderSpec(family, n)
+            c = (build_full_adder if full else build_adder)(spec)
+            back = loads_netlist(dumps_netlist(c, spec, full)).circuit
+            assert back.input_ids == c.input_ids == tuple(
+                nid for nid in range(len(c)) if c.is_input(nid))
+            if full:  # a_i, b_i, then their xor and and
+                assert c.input_ids == tuple(
+                    4 * i + j for i in range(n) for j in (0, 1))
 
     @pytest.mark.parametrize("kind", [AND, OR, XOR, NOT, BUF, NAND, NOR],
                              ids=KIND_NAMES.__getitem__)

@@ -45,7 +45,7 @@ def mutants(c, rng, count):
             old = port[nid]
             while port[nid] == old:
                 port[nid] = rng.randrange(nid)
-        yield Circuit(c.name, codes, f0, f1, c.input_ids, c.output_ids)
+        yield Circuit(c.name, codes, f0, f1, c.output_ids)
 
 
 @pytest.mark.parametrize("full", [False, True], ids=["carry", "full"])
@@ -89,7 +89,7 @@ def kogge_stone_top_carry_mutant(n):
     assert g_hi < term
     f1 = c._f1[:]
     f1[term] = g_hi
-    return Circuit(c.name, c._codes, c._f0, f1, c.input_ids, c.output_ids)
+    return Circuit(c.name, c._codes, c._f0, f1, c.output_ids)
 
 
 def test_kogge_stone_top_carry_mutant_is_unproven_at_its_top_output():
@@ -113,8 +113,8 @@ def test_unlabelled_gate_is_named():
     gate = c.output_ids[5]
     codes = c._codes[:]
     codes[gate] = SWAP[codes[gate]]  # or -> and
-    proof = prove_adder(Circuit(c.name, codes, c._f0, c._f1, c.input_ids,
-                                c.output_ids), 12)
+    proof = prove_adder(
+        Circuit(c.name, codes, c._f0, c._f1, c.output_ids), 12)
     assert (proof.proven, proof.first_unproven) == (5, 5)
     assert proof.first_unlabelled == (gate, "and", ("G(6,6,6)", "G(1,5,6)"))
     assert proof.summary() == ("5 of 12 outputs proven, first unproven "
@@ -129,7 +129,7 @@ def test_k_operand_first_in_an_or():
     low = c.output_ids[0]
     f0, f1 = c._f0[:], c._f1[:]
     f0[low], f1[low] = f1[low], f0[low]
-    k_left = Circuit(c.name, c._codes, f0, f1, c.input_ids, c.output_ids)
+    k_left = Circuit(c.name, c._codes, f0, f1, c.output_ids)
     assert k_left.kind(low) == OR
     assert k_left.kind(k_left.fanins(low)[0]) == AND
     proof = prove_adder(k_left, 2)
@@ -167,7 +167,7 @@ def test_verifiers_validate_first():
     c = build_adder(AdderSpec("ripple", 4))
     f0 = c._f0[:]
     f0[c.output_ids[0]] = c.output_ids[0]  # a fanin that is not earlier
-    bad = Circuit(c.name, c._codes, f0, c._f1, c.input_ids, c.output_ids)
+    bad = Circuit(c.name, c._codes, f0, c._f1, c.output_ids)
     for check in (verify_adder, prove_adder):
         with pytest.raises(CircuitError, match="ordering"):
             check(bad, 5)  # before the interface check

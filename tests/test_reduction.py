@@ -152,8 +152,7 @@ class TestReductionStructure:
 
     def test_inner_carry_count_checked(self):
         c = serial_inner(4)
-        bad = Circuit(c.name, c._codes, c._f0, c._f1, c.input_ids,
-                      c.output_ids[:-1])
+        bad = Circuit(c.name, c._codes, c._f0, c._f1, c.output_ids[:-1])
         with pytest.raises(ValueError, match="^core has 3 carries, need 4$"):
             apply_reduction(8, 1, bad)
 

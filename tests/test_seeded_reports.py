@@ -28,8 +28,7 @@ def kind_swaps(c):
     for nid in (gates[len(gates) // 2], gates[-1]):
         codes = c._codes[:]
         codes[nid] = SWAP[codes[nid]]
-        out.append(Circuit(c.name, codes, c._f0, c._f1, c.input_ids,
-                           c.output_ids))
+        out.append(Circuit(c.name, codes, c._f0, c._f1, c.output_ids))
     return out
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from addergen import semantics
 from addergen.circuit import (
-    AND, BUF, NAND, NOR, NOT, OR, XOR, Circuit, CircuitBuilder,
+    AND, BUF, NAND, NOR, NOT, OR, XOR, Circuit, CircuitBuilder, constant_fold,
 )
 from addergen.families import AdderSpec, build_adder, build_full_adder
 from addergen.semantics import (
@@ -157,6 +157,20 @@ class TestPackedSimulation:
                                rf"{re.escape(named)} are not input ids$"):
                 simulate(c, {**bits, **stray})
 
+    @pytest.mark.parametrize("run, assignment, key, value", [
+        (simulate, {0: 1, 1: 2, 2: 1, 3: 3}, 1, "2"),
+        (simulate, {0: 1, 1: 0, 2: -1, 3: 1}, 2, "-1"),
+        (simulate, {0: True, 1: 0, 2: 1, 3: 1}, 0, "True"),
+        (constant_fold, {1: 0.5}, 1, "0.5"),
+        (constant_fold, {0: 1, 3: False}, 3, "False"),
+    ])
+    def test_bit_values_checked(self, run, assignment, key, value):
+        # a value is the int 0 or 1; nothing else is read as its low bit
+        c = build_adder(AdderSpec("ripple", 2))
+        with pytest.raises(ValueError, match=rf"^input {key} must be 0 or 1, "
+                           rf"got {re.escape(value)}$"):
+            run(c, assignment)
+
     def test_packed_ripple_matches_scalar_lanes(self):
         rng = random.Random(2)
         n, width = 6, 37
@@ -218,8 +232,7 @@ def _kind_mutants(c):
     for nid in (gates[len(gates) // 2], gates[-1]):
         codes = c._codes[:]
         codes[nid] = swap[codes[nid]]
-        mutants.append(Circuit(c.name, codes, c._f0, c._f1, c.input_ids,
-                               c.output_ids))
+        mutants.append(Circuit(c.name, codes, c._f0, c._f1, c.output_ids))
     return mutants
 
 
