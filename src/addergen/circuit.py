@@ -13,6 +13,7 @@ so that million-node circuits stay cheap to build, walk, and simulate.
 
 from __future__ import annotations
 
+import re
 from array import array
 from itertools import accumulate, compress, count
 from operator import and_, not_, or_, xor
@@ -22,6 +23,7 @@ from typing import NamedTuple
 INPUT, AND, OR, XOR, NOT, BUF, NAND, NOR = range(8)
 KIND_NAMES = ("input", "and", "or", "xor", "not", "buf", "nand", "nor")
 KIND_ARITY = (0, 2, 2, 2, 1, 1, 2, 2)  # fanins per kind code
+_INPUT_CODE = re.compile(b"\0")  # INPUT as a byte of an array("b") of codes
 
 
 def _check_ints(**params):
@@ -143,9 +145,8 @@ class Circuit:
         self._codes = codes
         self._f0 = f0
         self._f1 = f1
-        # input ids in id order: each ends one piece of the codes split on 0
-        steps = [len(p) + 1 for p in codes.tobytes().split(b"\0")[:-1]]
-        self.input_ids = tuple(accumulate(steps, initial=-1))[1:]
+        # the INPUT codes' offsets, found in place in the codes' buffer
+        self.input_ids = tuple(map(re.Match.start, _INPUT_CODE.finditer(codes)))
         self.output_ids = output_ids
         self._consumers = None
         self._violations = None
