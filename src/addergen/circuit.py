@@ -279,6 +279,7 @@ def node_depths(c: Circuit, input_rows=None) -> list:
         if len(input_rows) != len(c.input_ids):
             raise ValueError("need one row per input")
         for nid, row in zip(c.input_ids, input_rows):
+            _check_ints(input_row=row)
             depths[nid] = row
     for nid, a, b in zip(count(), c._f0, c._f1):
         if a >= 0:

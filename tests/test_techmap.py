@@ -3,6 +3,7 @@ NAND/NOR/NOT adder built from them."""
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -94,6 +95,13 @@ class TestLevelize:
         core = build_mig_adder(4, 2, 2)
         with pytest.raises(ValueError):
             levelize(core, input_rows=[0, 1])
+
+    @pytest.mark.parametrize("row", [0.5, True, "1"])
+    def test_input_rows_must_be_ints(self, row):
+        core = build_mig_adder(4, 2, 2)
+        with pytest.raises(ValueError, match=r"^input_row must be an int, "
+                           rf"got {re.escape(repr(row))}$"):
+            levelize(core, input_rows=[0] * 7 + [row])
 
     def test_kind_agnostic(self):
         b = CircuitBuilder("x")
