@@ -237,12 +237,15 @@ def validate(c: Circuit) -> list:
         code, a, b = codes[nid], f0[nid], f1[nid]
         fans = () if a < 0 else (a,) if b < 0 else (a, b)
         if code == INPUT:
-            if fans:
-                out.append(Violation("arity", nid, "input with fanins"))
+            # a suspect input has some fanin slot that is not -1
+            out.append(Violation("arity", nid, "input with fanins"))
         else:
             if len(fans) != KIND_ARITY[code]:
                 out.append(Violation(
                     "arity", nid, f"{KIND_NAMES[code]} has {len(fans)} fanins"))
+            elif KIND_ARITY[code] == 1 and b != -1:
+                out.append(Violation(
+                    "arity", nid, f"{KIND_NAMES[code]} has f1 {b}, not -1"))
             for f in fans:
                 if not 0 <= f < nid:
                     out.append(Violation("ordering", nid,

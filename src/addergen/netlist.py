@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from array import array
+from functools import partial
 from itertools import count, islice
 from typing import NamedTuple
 
@@ -30,6 +31,8 @@ FORMAT_NAME = "addergen-netlist"
 FORMAT_VERSION = 1
 # node lines per block of written text
 _BLOCK = 1 << 16
+# characters per piece of parsed text
+_CHUNK = 1 << 16
 _CODES = {name: code for code, name in enumerate(KIND_NAMES)}
 
 
@@ -94,6 +97,33 @@ def dumps_netlist(c: Circuit, spec: AdderSpec | None = None,
     return "".join(_netlist_blocks(c, spec, full_adder))
 
 
+class _Lines:
+    """The lines of a text that arrives in pieces, as text.split("\\n")
+    lists them without a final empty one.  A line that spans pieces is
+    joined once from its parts; once every line is read, `ended` tells
+    whether the last one had its "\\n"."""
+
+    def __init__(self, pieces):
+        self._pieces = pieces
+        self.ended = False
+
+    def __iter__(self):
+        held = []  # parts of the line that the pieces so far leave open
+        for piece in self._pieces:
+            lines = piece.split("\n")
+            if len(lines) == 1:
+                held.append(piece)
+                continue
+            held.append(lines[0])
+            lines[0] = "".join(held)
+            held = [lines.pop()]
+            yield from lines
+        tail = "".join(held)
+        self.ended = not tail
+        if tail:
+            yield tail
+
+
 def loads_netlist(text: str) -> NetlistFile:
     """Parse netlist text; raises ValueError on any malformation.
 
@@ -102,13 +132,20 @@ def loads_netlist(text: str) -> NetlistFile:
     ends including a final one, and the compact header that the circuit,
     spec and full-adder flag imply.
     """
-    lines = text.split("\n")
-    if not lines[-1]:
-        lines.pop()
-    if not lines:
+    return _parse(text[i:i + _CHUNK] for i in range(0, len(text), _CHUNK))
+
+
+def _parse(pieces) -> NetlistFile:
+    """The one parse body of loads_netlist and load_netlist: it reads the
+    lines of the text that pieces make up in order, and holds none it has
+    passed."""
+    lines = _Lines(pieces)
+    rows = iter(lines)
+    first = next(rows, None)
+    if first is None:
         raise ValueError("empty netlist")
     try:
-        header = json.loads(lines[0])
+        header = json.loads(first)
     except (json.JSONDecodeError, RecursionError) as e:
         raise ValueError(f"bad netlist header: {e}") from None
     if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
@@ -128,7 +165,7 @@ def loads_netlist(text: str) -> NetlistFile:
             raise ValueError(f"bad spec in header: {problem}")
     codes, f0, f1 = array("b"), array("i"), array("i")
     outputs = []
-    for ln, line in enumerate(lines[1:], start=2):
+    for ln, line in enumerate(rows, start=2):
         if not line:
             raise ValueError(f"line {ln}: blank line")
         parts = line.split(" ")
@@ -186,9 +223,9 @@ def loads_netlist(text: str) -> NetlistFile:
     names = header.get("inputs"), header.get("outputs")
     if names != _interface_names(c, full_adder):
         raise ValueError("header inputs/outputs do not match the circuit")
-    if lines[0] != _header_line(c, spec, full_adder):
+    if first != _header_line(c, spec, full_adder):
         raise ValueError("header is not the one this circuit saves with")
-    if not text.endswith("\n"):
+    if not lines.ended:
         raise ValueError("netlist does not end with a newline")
     return NetlistFile(version, spec, full_adder, c)
 
@@ -201,9 +238,9 @@ def save_netlist(c: Circuit, path, spec: AdderSpec | None = None,
 
 
 def load_netlist(path) -> NetlistFile:
-    """Read and parse a netlist file."""
+    """Read and parse a netlist file, _CHUNK characters at a time."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        return loads_netlist(fh.read())
+        return _parse(iter(partial(fh.read, _CHUNK), ""))
 
 
 def _dot_blocks(c: Circuit):

@@ -237,6 +237,30 @@ class TestViolationRules:
         c = raw_circuit([0, 0, 1], [-1, 0, 0], [-1, -1, 1], (2,))
         assert found(c) == [("arity", 1, "input with fanins")]
 
+    @pytest.mark.parametrize("codes,f0,f1,outputs,want", [
+        # input 1 with f1 = 4: metrics raised IndexError in consumer_counts
+        ([0, 0, 3], [-1, -1, 0], [-1, 4, 1], (2,),
+         ("arity", 1, "input with fanins")),
+        # input 1 with f1 = -3: consumer_counts read [1, 2, 1]
+        ([0, 0, 3], [-1, -1, 0], [-1, -3, 1], (2,),
+         ("arity", 1, "input with fanins")),
+        # not 4 with f1 = -4 read node 3's depth: depth 4 for a depth-3 circuit
+        ([0, 0, 1, 1, 4, 2], [-1, -1, 0, 2, 0, 3], [-1, -1, 1, 1, -4, 4],
+         (5,), ("arity", 4, "not has f1 -4, not -1")),
+        # input 3 with f1 = 2: max_fanout 2 where every node has one consumer
+        ([0, 0, 1, 0, 1], [-1, -1, 0, -1, 3], [-1, -1, 1, 2, 2], (4,),
+         ("arity", 3, "input with fanins")),
+        # input 0 with the forward f1 = 1 hid an ordering fault
+        ([0, 7], [-1, 0], [1, 0], (1,), ("arity", 0, "input with fanins")),
+    ])
+    def test_hidden_fanins(self, codes, f0, f1, outputs, want):
+        # every absent fanin slot must be -1, since the consumer count and
+        # the depth walk index with it
+        c = raw_circuit(codes, f0, f1, outputs)
+        assert found(c) == [want]
+        with pytest.raises(CircuitError, match="^invalid circuit: arity@"):
+            metrics(c)
+
     def test_arity_wrong_gate_fanin_count(self):
         # node 2 is a two-fanin not, node 3 a one-fanin and
         c = raw_circuit([0, 0, 4, 1], [-1, -1, 0, 2], [-1, -1, 1, -1], (3,))

@@ -3,7 +3,8 @@
 Verification keeps one chunk of packed words alive at a time, so its peak
 does not grow with the sample count; netlist and DOT text are produced in
 blocks of node lines, so writing them holds at most one block of per-line
-strings.
+strings, and netlist text is parsed a chunk at a time, so reading it holds
+one chunk's lines.
 """
 
 import hashlib
@@ -140,3 +141,19 @@ def test_text_is_the_same_at_every_block_size(monkeypatch, tmp_path, block):
         spec = AdderSpec(family, int(n))
         save_netlist(build_adder(spec), path, spec=spec)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[key]
+
+
+@pytest.mark.parametrize("family,n", [("kogge-stone", 1024), ("mig", 256)])
+def test_parse_peak_is_a_few_text_lengths(monkeypatch, tmp_path, family, n):
+    # both entry points read the text _CHUNK characters at a time, so
+    # neither holds one str per line nor, reading a file, the whole text
+    monkeypatch.setattr(netlist, "_CHUNK", 4096)
+    spec = AdderSpec(family, n)
+    text = dumps_netlist(build_adder(spec), spec)
+    path = tmp_path / "c.nl"
+    path.write_bytes(text.encode())
+    for parse, arg in ((netlist.loads_netlist, text),
+                       (netlist.load_netlist, path)):
+        peak, nf = traced_peak(lambda: parse(arg))
+        assert nf.spec == spec
+        assert peak <= 3 * len(text)
