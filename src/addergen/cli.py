@@ -54,8 +54,8 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--r", type=int, help="window rank (mig only)")
     g.add_argument("--k", type=int, help="window count (mig only)")
     g.add_argument("--tau", type=int, help="halving levels (linear only)")
-    g.add_argument("--full-adder", action="store_true",
-                   help="wrap with summand inputs and sum outputs")
+    g.add_argument("--full-adder", action="store_true", help="add XOR and "
+                   "AND preparation and sum stages to the carry circuit")
     g.add_argument("--out", required=True, help="netlist file to write")
     g.set_defaults(func=cmd_gen)
 

@@ -34,6 +34,9 @@ _BLOCK = 1 << 16
 # characters per piece of parsed text
 _CHUNK = 1 << 16
 _CODES = {name: code for code, name in enumerate(KIND_NAMES)}
+# kind codes by name for each fanin count, for the parse loop's fast paths
+_BY_FANINS = [{name: code for name, code in _CODES.items()
+               if KIND_ARITY[code] == k} for k in range(3)]
 
 
 class NetlistFile(NamedTuple):
@@ -62,9 +65,10 @@ def _interface_names(c: Circuit, full_adder: bool):
     return inputs, outputs
 
 
-def _header_line(c: Circuit, spec: AdderSpec | None, full_adder: bool) -> str:
+def _header_line(c: Circuit, spec: AdderSpec | None, full_adder: bool,
+                 names=None) -> str:
     """The JSON header line, without its newline, that a save writes."""
-    inputs, outputs = _interface_names(c, full_adder)
+    inputs, outputs = names or _interface_names(c, full_adder)
     header = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -164,49 +168,49 @@ def _parse(pieces) -> NetlistFile:
         if problem:
             raise ValueError(f"bad spec in header: {problem}")
     codes, f0, f1 = array("b"), array("i"), array("i")
+    add_code, add_a, add_b = codes.append, f0.append, f1.append
+    _, one, two = _BY_FANINS
     outputs = []
-    for ln, line in enumerate(rows, start=2):
-        if not line:
-            raise ValueError(f"line {ln}: blank line")
+    for nid, line in enumerate(rows):  # node records, by line shape
         parts = line.split(" ")
-        if parts[0] == "output":
-            if len(parts) != 2:
-                raise ValueError(f"line {ln}: malformed output record")
-            outputs.append(parts[1])
-            continue
-        if outputs:
-            raise ValueError(f"line {ln}: node record after output records")
-        nid = len(codes)
-        if parts[0] != str(nid):
-            got = parts[0]
-            if got.isascii() and got.isdigit() and str(int(got)) == got:
-                raise ValueError(f"line {ln}: node id {got} out of sequence")
-            raise ValueError(f"line {ln}: bad node id {got!r}")
-        kind = parts[1] if len(parts) > 1 else ""
-        code = _CODES.get(kind)
-        if code is None:
-            raise ValueError(f"line {ln}: unknown gate kind {kind!r}")
-        want = KIND_ARITY[code]
-        if len(parts) != want + 2:
-            raise ValueError(f"line {ln}: input with fanins" if code == INPUT
-                             else f"line {ln}: {kind} expects {want} fanins, "
-                             f"got {len(parts) - 2}")
-        if code == INPUT:
-            a = b = -1
-        else:
-            try:
-                a = int(parts[2])
-                b = int(parts[3]) if want == 2 else -1
-                if str(a) != parts[2] or want == 2 and str(b) != parts[3]:
-                    raise ValueError
-            except ValueError:
-                raise ValueError(f"line {ln}: bad fanin id") from None
-            if not (0 <= a < nid and (want == 1 or 0 <= b < nid)):
-                bad = a if not 0 <= a < nid else b
-                raise ValueError(f"line {ln}: fanin {bad} not an earlier node")
-        codes.append(code)
-        f0.append(a)
-        f1.append(b)
+        try:
+            if (width := len(parts)) == 4:
+                i, kind, x, y = parts
+                code = two.get(kind)
+                a, b = int(x), int(y)
+                if (code is not None and i == str(nid) and str(a) == x
+                        and str(b) == y and 0 <= a < nid and 0 <= b < nid):
+                    add_code(code)
+                    add_a(a)
+                    add_b(b)
+                    continue
+            elif width == 3:
+                i, kind, x = parts
+                code = one.get(kind)
+                a = int(x)
+                if (code is not None and i == str(nid) and str(a) == x
+                        and 0 <= a < nid):
+                    add_code(code)
+                    add_a(a)
+                    add_b(-1)
+                    continue
+            elif line == f"{nid} input":
+                add_code(INPUT)
+                add_a(-1)
+                add_b(-1)
+                continue
+            elif width == 2 and parts[0] == "output":
+                outputs.append(parts[1])
+                break
+        except ValueError:  # a fanin that int() does not read
+            pass
+        _fault(nid + 2, line, nid, False)
+    nid = len(codes)
+    for line in rows:  # output records after the first
+        parts = line.split(" ")
+        if len(parts) != 2 or parts[0] != "output":
+            _fault(nid + len(outputs) + 2, line, nid, True)
+        outputs.append(parts[1])
     output_ids = []
     for oid in outputs:
         nid = int(oid) if oid.isascii() and oid.isdigit() else -1
@@ -220,14 +224,49 @@ def _parse(pieces) -> NetlistFile:
         raise ValueError(
             f"invalid circuit in netlist: {e.violations[0]}") from None
     full_adder = bool(header.get("full_adder", False))
-    names = header.get("inputs"), header.get("outputs")
-    if names != _interface_names(c, full_adder):
+    names = _interface_names(c, full_adder)
+    if (header.get("inputs"), header.get("outputs")) != names:
         raise ValueError("header inputs/outputs do not match the circuit")
-    if first != _header_line(c, spec, full_adder):
+    if first != _header_line(c, spec, full_adder, names):
         raise ValueError("header is not the one this circuit saves with")
     if not lines.ended:
         raise ValueError("netlist does not end with a newline")
     return NetlistFile(version, spec, full_adder, c)
+
+
+def _fault(ln, line, nid, after_outputs):
+    """Raise the ValueError of the first per-line check that line ln, which
+    missed its fast path in _parse, fails; nid is the next node id."""
+    if not line:
+        raise ValueError(f"line {ln}: blank line")
+    parts = line.split(" ")
+    if parts[0] == "output":
+        raise ValueError(f"line {ln}: malformed output record")
+    if after_outputs:
+        raise ValueError(f"line {ln}: node record after output records")
+    if parts[0] != str(nid):
+        got = parts[0]
+        if got.isascii() and got.isdigit() and str(int(got)) == got:
+            raise ValueError(f"line {ln}: node id {got} out of sequence")
+        raise ValueError(f"line {ln}: bad node id {got!r}")
+    kind = parts[1] if len(parts) > 1 else ""
+    code = _CODES.get(kind)
+    if code is None:
+        raise ValueError(f"line {ln}: unknown gate kind {kind!r}")
+    want = KIND_ARITY[code]
+    if len(parts) != want + 2:
+        raise ValueError(f"line {ln}: input with fanins" if code == INPUT
+                         else f"line {ln}: {kind} expects {want} fanins, "
+                         f"got {len(parts) - 2}")
+    try:
+        a = int(parts[2])
+        b = int(parts[3]) if want == 2 else -1
+        if str(a) != parts[2] or want == 2 and str(b) != parts[3]:
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"line {ln}: bad fanin id") from None
+    bad = a if not 0 <= a < nid else b
+    raise ValueError(f"line {ln}: fanin {bad} not an earlier node")
 
 
 def save_netlist(c: Circuit, path, spec: AdderSpec | None = None,

@@ -379,24 +379,22 @@ def verify_full_adder(c: Circuit, n: int, mode: str = "auto",
 _MEETS = {AND: 1, OR: 0, NAND: 1, NOR: 0}
 
 
-def _touch(s1, t1, s2, t2):
-    """Whether intervals [s1, t1] and [s2, t2] overlap or are adjacent."""
-    return s1 <= t2 + 1 and s2 <= t1 + 1
-
-
 def _meet(p, q):
     """Label of p and q, or None where no rule covers the pair."""
     if q[0] == "X":
         p, q = q, p
     if p[0] == "X":
         if q[0] == "X":
-            if _touch(p[1], p[2], q[1], q[2]):
-                return ("X", min(p[1], q[1]), max(p[2], q[2]))
+            # intervals [s, t] and [u, v] that overlap or are adjacent
+            _, s, t = p
+            _, u, v = q
+            if s <= v + 1 and u <= t + 1:
+                return ("X", s if s < u else u, t if t > v else v)
         elif q[0] == "G":
             # each y_j x_{j+1..v} of q, j <= b, takes x_{u..t} into one
             # window when b < u <= v + 1
             if q[2] < p[1] <= q[3] + 1:
-                return ("G", q[1], q[2], max(q[3], p[2]))
+                return ("G", q[1], q[2], q[3] if q[3] > p[2] else p[2])
             return ("K", p, q)
     elif p[0] + q[0] in ("AB", "BA") and p[1] == q[1]:
         return ("G", p[1], p[1], p[1])
@@ -406,8 +404,11 @@ def _meet(p, q):
 def _join(p, q):
     """Label of p or q, or None where no rule covers the pair."""
     if p[0] == "G" and q[0] == "G":
-        if p[3] == q[3] and _touch(p[1], p[2], q[1], q[2]):
-            return ("G", min(p[1], q[1]), max(p[2], q[2]), p[3])
+        # windows [a, b] and [c, d] that overlap or are adjacent, at one t
+        _, a, b, t = p
+        _, c, d, u = q
+        if t == u and a <= d + 1 and c <= b + 1:
+            return ("G", a if a < c else c, b if b > d else d, t)
     elif q[0] == "K" and q[2] == p:
         return p
     elif p[0] == "K" and p[2] == q:

@@ -13,12 +13,26 @@ check that `prune_dead` of the raw structure is exactly that build.
 
 A prefix graph's own depth, size and fan-out are read off a circuit with
 one node per graph node, through the walks `metrics` uses.
+
+The line-by-line netlist parse runs every line through the whole chain of
+per-line checks in order, and the reference prover rules spell their
+interval tests through a helper and `min`/`max`; the library's fast
+paths and inline comparisons must agree with both exactly.
 """
 
+import json
+from array import array
+
 from addergen.circuit import (
-    AND, BUF, CircuitBuilder, Pool, lsb_carry, node_depths,
+    AND, BUF, INPUT, KIND_ARITY, Circuit, CircuitBuilder, CircuitError, Pool,
+    lsb_carry, node_depths,
 )
+from addergen.families import AdderSpec, _spec_type_problem
 from addergen.mig import _generate_gate, _replicate, _windows, choose_params
+from addergen.netlist import (
+    _CODES, FORMAT_NAME, FORMAT_VERSION, NetlistFile, _header_line,
+    _interface_names, _Lines,
+)
 from addergen.prefix import OP, PAIR
 
 # ---------------------------------------------------------------------------
@@ -171,3 +185,141 @@ def raw_mig_adder(n: int, r=None, k=None):
     for cid in carries:
         b.mark_output(cid)
     return b.build()
+
+
+# ---------------------------------------------------------------------------
+# the line-by-line netlist parse
+
+
+def reference_loads(text):
+    """loads_netlist with every line checked by the one chain of per-line
+    checks, in order, and no fast path."""
+    lines = _Lines([text])
+    rows = iter(lines)
+    first = next(rows, None)
+    if first is None:
+        raise ValueError("empty netlist")
+    try:
+        header = json.loads(first)
+    except (json.JSONDecodeError, RecursionError) as e:
+        raise ValueError(f"bad netlist header: {e}") from None
+    if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
+        raise ValueError("not an addergen netlist")
+    version = header.get("version")
+    if version != FORMAT_VERSION:
+        raise ValueError(f"unsupported netlist version {version!r}")
+    spec = None
+    raw_spec = header.get("spec")
+    if raw_spec is not None:
+        try:
+            spec = AdderSpec(**raw_spec)
+        except TypeError as e:
+            raise ValueError(f"bad spec in header: {e}") from None
+        problem = _spec_type_problem(spec)
+        if problem:
+            raise ValueError(f"bad spec in header: {problem}")
+    codes, f0, f1 = array("b"), array("i"), array("i")
+    outputs = []
+    for ln, line in enumerate(rows, start=2):
+        if not line:
+            raise ValueError(f"line {ln}: blank line")
+        parts = line.split(" ")
+        if parts[0] == "output":
+            if len(parts) != 2:
+                raise ValueError(f"line {ln}: malformed output record")
+            outputs.append(parts[1])
+            continue
+        if outputs:
+            raise ValueError(f"line {ln}: node record after output records")
+        nid = len(codes)
+        if parts[0] != str(nid):
+            got = parts[0]
+            if got.isascii() and got.isdigit() and str(int(got)) == got:
+                raise ValueError(f"line {ln}: node id {got} out of sequence")
+            raise ValueError(f"line {ln}: bad node id {got!r}")
+        kind = parts[1] if len(parts) > 1 else ""
+        code = _CODES.get(kind)
+        if code is None:
+            raise ValueError(f"line {ln}: unknown gate kind {kind!r}")
+        want = KIND_ARITY[code]
+        if len(parts) != want + 2:
+            raise ValueError(f"line {ln}: input with fanins" if code == INPUT
+                             else f"line {ln}: {kind} expects {want} fanins, "
+                             f"got {len(parts) - 2}")
+        if code == INPUT:
+            a = b = -1
+        else:
+            try:
+                a = int(parts[2])
+                b = int(parts[3]) if want == 2 else -1
+                if str(a) != parts[2] or want == 2 and str(b) != parts[3]:
+                    raise ValueError
+            except ValueError:
+                raise ValueError(f"line {ln}: bad fanin id") from None
+            if not (0 <= a < nid and (want == 1 or 0 <= b < nid)):
+                bad = a if not 0 <= a < nid else b
+                raise ValueError(f"line {ln}: fanin {bad} not an earlier node")
+        codes.append(code)
+        f0.append(a)
+        f1.append(b)
+    output_ids = []
+    for oid in outputs:
+        nid = int(oid) if oid.isascii() and oid.isdigit() else -1
+        if str(nid) != oid or not 0 <= nid < len(codes):
+            raise ValueError(f"bad output id {oid!r}")
+        output_ids.append(nid)
+    c = Circuit(str(header.get("name", "")), codes, f0, f1, tuple(output_ids))
+    try:
+        c.check()
+    except CircuitError as e:
+        raise ValueError(
+            f"invalid circuit in netlist: {e.violations[0]}") from None
+    full_adder = bool(header.get("full_adder", False))
+    names = header.get("inputs"), header.get("outputs")
+    if names != _interface_names(c, full_adder):
+        raise ValueError("header inputs/outputs do not match the circuit")
+    if first != _header_line(c, spec, full_adder):
+        raise ValueError("header is not the one this circuit saves with")
+    if not lines.ended:
+        raise ValueError("netlist does not end with a newline")
+    return NetlistFile(version, spec, full_adder, c)
+
+
+# ---------------------------------------------------------------------------
+# the prover's meet and join rules, spelled through helpers
+
+
+def touch(s1, t1, s2, t2):
+    """Whether intervals [s1, t1] and [s2, t2] overlap or are adjacent."""
+    return s1 <= t2 + 1 and s2 <= t1 + 1
+
+
+def meet(p, q):
+    """Label of p and q, or None where no rule covers the pair."""
+    if q[0] == "X":
+        p, q = q, p
+    if p[0] == "X":
+        if q[0] == "X":
+            if touch(p[1], p[2], q[1], q[2]):
+                return ("X", min(p[1], q[1]), max(p[2], q[2]))
+        elif q[0] == "G":
+            # each y_j x_{j+1..v} of q, j <= b, takes x_{u..t} into one
+            # window when b < u <= v + 1
+            if q[2] < p[1] <= q[3] + 1:
+                return ("G", q[1], q[2], max(q[3], p[2]))
+            return ("K", p, q)
+    elif p[0] + q[0] in ("AB", "BA") and p[1] == q[1]:
+        return ("G", p[1], p[1], p[1])
+    return None
+
+
+def join(p, q):
+    """Label of p or q, or None where no rule covers the pair."""
+    if p[0] == "G" and q[0] == "G":
+        if p[3] == q[3] and touch(p[1], p[2], q[1], q[2]):
+            return ("G", min(p[1], q[1]), max(p[2], q[2]), p[3])
+    elif q[0] == "K" and q[2] == p:
+        return p
+    elif p[0] == "K" and p[2] == q:
+        return q
+    return None

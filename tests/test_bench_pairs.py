@@ -1,14 +1,25 @@
-"""tools/bench_pairs.py: run schedule, checkouts, summary statistics."""
+"""tools/bench_pairs.py: run schedule, checkouts, summary statistics;
+tools/inprocess_ab.py: both trees in one process, on one small cell."""
 
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
-_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
-bench_pairs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_pairs)
+_TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(name, _TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_pairs = _tool("bench_pairs")
+inprocess_ab = _tool("inprocess_ab")
 
 
 def test_median_and_quartiles():
@@ -95,3 +106,29 @@ def test_schedule_balances_directories(start):
         assert where["parent"] != where["change"]
     # equal depth and name length: the two trees differ only in place
     assert len({len(d) for d in bench_pairs.DIRS}) == 1
+
+
+@pytest.mark.parametrize("text,cell", [("ripple:8", ("ripple", 8, False)),
+                                       ("mig:5:full", ("mig", 5, True))])
+def test_inprocess_cells(text, cell):
+    assert inprocess_ab.parse_cell(text) == cell
+
+
+def test_inprocess_ab_times_both_sides_alternately(tmp_path):
+    out = tmp_path / "ab.json"
+    assert inprocess_ab.main(["--parent", ".", "--change", ".", "--rounds",
+                              "3", "--cell", "ripple:8", "--out",
+                              str(out)]) == 0
+    result = json.loads(out.read_text())
+    assert result["rounds"] == 3
+    assert result["change"].startswith("working tree at ")
+    for side in bench_pairs.SIDES:
+        assert f"addergen_{side}" in sys.modules
+    for function in inprocess_ab.FUNCTIONS:
+        seconds = result["times"]["ripple:8"][function]
+        assert [len(seconds[side]) for side in bench_pairs.SIDES] == [3, 3]
+        for cell in ("ripple:8", "total"):
+            s = result["summary"][function][cell]
+            assert s["pairs"] == 3 and s["ratio"] > 0
+        total = result["summary"][function]["total"]
+        assert total["parent"] == seconds["parent"]

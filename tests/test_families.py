@@ -1,8 +1,10 @@
 """Family registry: dispatch, arbitrary-width padding, and full adders."""
 
+from collections import Counter
+
 import pytest
 
-from addergen.circuit import metrics, validate
+from addergen.circuit import KIND_NAMES, metrics, validate
 from addergen.families import (
     FAMILIES, AdderSpec, build_adder, build_full_adder, verify_full_adder,
 )
@@ -10,6 +12,7 @@ from addergen.mig import build_mig_adder
 from addergen.prefix import kogge_stone, serial_prefix
 from addergen.reduction import apply_reduction, build_linear_adder
 from addergen.semantics import simulate_packed, verify_adder
+from tests.test_golden import WIDTHS
 
 ALL_FAMILIES = sorted(FAMILIES)
 POW2_ONLY = ["sklansky", "kogge-stone", "brent-kung", "linear", "nandnor"]
@@ -264,3 +267,14 @@ class TestSpecDefaults:
     def test_specs_are_hashable_rows(self):
         seen = {AdderSpec("ripple", 8), AdderSpec("ripple", 8)}
         assert len(seen) == 1
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_full_adder_adds_xor_and_and_to_its_carry_circuit(family):
+    # n XOR and n AND of preparation and n - 1 XOR of sums, on top of the
+    # carry circuit's own kinds, over every golden-table width
+    for n in WIDTHS:
+        spec = AdderSpec(family, n)
+        carry = Counter(KIND_NAMES[k] for k in build_adder(spec)._codes)
+        full = Counter(KIND_NAMES[k] for k in build_full_adder(spec)._codes)
+        assert full == carry + Counter({"xor": 2 * n - 1, "and": n}), n

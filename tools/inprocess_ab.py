@@ -1,0 +1,155 @@
+"""Time two revisions' loads_netlist and verifiers in one process, alternately.
+
+Usage, from the repository root:
+
+    python3 tools/inprocess_ab.py --parent HEAD --change . --rounds 12 \
+        --out BENCH_27_inprocess.json
+
+Each side is unpacked as `tools/bench_pairs.py` unpacks it (`checkout`),
+and its `src/addergen` is imported under its own package name, so both
+sides live in one process and see the same heap and the same caches.
+The netlist texts of the cells (by default perfbench's verify-large
+cells) are built once, by the parent.  Every round times, per cell,
+`loads_netlist` on each side, then the verifier `perfbench` calls on
+each side's loaded circuit (`verify_full_adder` for a full adder,
+`verify_adder` otherwise; auto mode, default samples, a fixed seed).
+The side that goes first alternates from round to round.  The JSON
+written to --out holds every call's seconds and, per cell, per function
+and for the sum over the cells, `bench_pairs.summarise` of the two sides
+(medians, quartiles, change wins, ratio).  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import os
+import platform
+import sys
+import tempfile
+from pathlib import Path
+from time import perf_counter
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+import bench_pairs  # noqa: E402
+
+VERIFY_LARGE = [("mig", 1024, False), ("kogge-stone", 4096, False),
+                ("ripple", 4096, False), ("nandnor", 4096, False),
+                ("linear", 16384, False), ("linear", 4096, True),
+                ("brent-kung", 1024, True)]
+FUNCTIONS = ("loads_netlist", "verify")
+SEED = 2727
+
+
+def import_tree(tree, name):
+    """tree/src/addergen imported as the package `name`."""
+    init = Path(tree) / "src" / "addergen" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)])
+    pkg = importlib.util.module_from_spec(spec)
+    sys.modules[name] = pkg
+    spec.loader.exec_module(pkg)
+    return pkg
+
+
+def parse_cell(text):
+    """"family:n" or "family:n:full" as a (family, n, full) cell."""
+    family, n, *full = text.split(":")
+    return family, int(n), full == ["full"]
+
+
+def timed(fn, *args, **kwargs):
+    t0 = perf_counter()
+    result = fn(*args, **kwargs)
+    return perf_counter() - t0, result
+
+
+def result(nf, report):
+    """A loaded circuit and its report as text, comparable across sides."""
+    c = nf.circuit
+    return repr((c._codes, c._f0, c._f1, c.output_ids, report, report.proof))
+
+
+def compare(trees, cells, rounds):
+    """Per-call seconds of both sides over rounds, as
+    {cell name: {function: {side: [seconds, ...]}}}; trees maps each side
+    to its tree.  Each call's result must equal the other side's."""
+    pkgs = {side: import_tree(tree, f"addergen_{side}")
+            for side, tree in trees.items()}
+    builder = pkgs["parent"]
+    texts = {}
+    for family, n, full in cells:
+        spec = builder.AdderSpec(family, n)
+        c = (builder.build_full_adder if full else builder.build_adder)(spec)
+        name = f"{family}:{n}" + (":full" if full else "")
+        texts[name] = (n, full, builder.netlist.dumps_netlist(c, spec, full))
+    times = {name: {f: {side: [] for side in bench_pairs.SIDES}
+                    for f in FUNCTIONS} for name in texts}
+    for r in range(rounds):
+        order = bench_pairs.SIDES if r % 2 == 0 else bench_pairs.SIDES[::-1]
+        for name, (n, full, text) in texts.items():
+            loaded, reports = {}, {}
+            for side in order:
+                t, loaded[side] = timed(pkgs[side].netlist.loads_netlist, text)
+                times[name]["loads_netlist"][side].append(t)
+            for side in order:
+                pkg = pkgs[side]
+                check = pkg.verify_full_adder if full else pkg.verify_adder
+                t, reports[side] = timed(check, loaded[side].circuit, n,
+                                         seed=SEED)
+                times[name]["verify"][side].append(t)
+            if len({result(loaded[s], reports[s]) for s in order}) > 1:
+                raise SystemExit(f"error: {name}: the sides' results differ")
+    return times
+
+
+def summary(times):
+    """bench_pairs.summarise of every cell and function, and of the sum
+    over the cells per round, lower being better."""
+    out = {}
+    for f in FUNCTIONS:
+        per = {name: bench_pairs.summarise(
+            fs[f]["parent"], fs[f]["change"], "lower")
+            for name, fs in times.items()}
+        sums = {side: [sum(col) for col in zip(
+            *(fs[f][side] for fs in times.values()))]
+            for side in bench_pairs.SIDES}
+        per["total"] = bench_pairs.summarise(sums["parent"], sums["change"],
+                                             "lower")
+        out[f] = per
+    return out
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("--parent", required=True, help="parent revision")
+    p.add_argument("--change", required=True,
+                   help='changed revision, or "." for the working tree')
+    p.add_argument("--rounds", type=int, default=12)
+    p.add_argument("--cell", action="append", type=parse_cell,
+                   help="family:n or family:n:full; may be given more than "
+                   "once (default: perfbench's verify-large cells)")
+    p.add_argument("--out", required=True, type=Path)
+    args = p.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = {side: bench_pairs.checkout(getattr(args, side),
+                                            Path(tmp) / side)
+                 for side in bench_pairs.SIDES}
+        times = compare(trees, args.cell or VERIFY_LARGE, args.rounds)
+    args.out.write_text(json.dumps({
+        "parent": bench_pairs.resolve(args.parent),
+        "change": bench_pairs.resolve(args.change),
+        "rounds": args.rounds,
+        "machine": {"nproc": os.cpu_count(),
+                    "python": platform.python_version(),
+                    "platform": platform.platform()},
+        "summary": summary(times),
+        "times": times,
+    }, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
