@@ -24,6 +24,9 @@ INPUT, AND, OR, XOR, NOT, BUF, NAND, NOR = range(8)
 KIND_NAMES = ("input", "and", "or", "xor", "not", "buf", "nand", "nor")
 KIND_ARITY = (0, 2, 2, 2, 1, 1, 2, 2)  # fanins per kind code
 _INPUT_CODE = re.compile(b"\0")  # INPUT as a byte of an array("b") of codes
+# fanins per code of an array("b"), -1 where the code names no kind; a
+# negative code reads from the end, so -1 is not NOR's slot
+_ARITY = KIND_ARITY + (-1,) * (256 - len(KIND_ARITY))
 
 
 def _check_ints(**params):
@@ -221,13 +224,20 @@ def validate(c: Circuit) -> list:
     out = []
     if c.num_gates == 0:
         out.append(Violation("no-gates", -1, "circuit has no gates"))
+    # deleting every kind code's byte leaves one only where a code names no
+    # kind; only then are the codes walked in Python
+    if codes.tobytes().translate(None, bytes(range(INPUT, NOR + 1))):
+        out.extend(Violation("kind", nid, f"unknown kind code {code}")
+                   for nid, code in enumerate(codes)
+                   if not INPUT <= code <= NOR)
     # suspects: nodes whose fanins (earlier ids, -1 where absent) do not
     # fit their kind; only they get the per-rule report below
     suspects = []
+    arity = _ARITY
     for nid, code, a, b in zip(count(), codes, f0, f1):
         if code:
             if (not -1 < a < nid or b >= nid
-                    or (b < 0 if KIND_ARITY[code] == 2 else b != -1)):
+                    or (b < 0 if arity[code] == 2 else b != -1)):
                 suspects.append(nid)
         elif a != -1 or b != -1:
             suspects.append(nid)
@@ -240,10 +250,11 @@ def validate(c: Circuit) -> list:
             # a suspect input has some fanin slot that is not -1
             out.append(Violation("arity", nid, "input with fanins"))
         else:
-            if len(fans) != KIND_ARITY[code]:
+            want = arity[code]  # -1 for an unknown kind: no arity to check
+            if len(fans) != want >= 0:
                 out.append(Violation(
                     "arity", nid, f"{KIND_NAMES[code]} has {len(fans)} fanins"))
-            elif KIND_ARITY[code] == 1 and b != -1:
+            elif want == 1 and b != -1:
                 out.append(Violation(
                     "arity", nid, f"{KIND_NAMES[code]} has f1 {b}, not -1"))
             for f in fans:

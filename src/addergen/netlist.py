@@ -150,7 +150,8 @@ def _parse(pieces) -> NetlistFile:
         raise ValueError("empty netlist")
     try:
         header = json.loads(first)
-    except (json.JSONDecodeError, RecursionError) as e:
+    except (ValueError, RecursionError) as e:
+        # a JSONDecodeError, or an int past int()'s limit of 4300 digits
         raise ValueError(f"bad netlist header: {e}") from None
     if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
         raise ValueError("not an addergen netlist")
@@ -212,8 +213,10 @@ def _parse(pieces) -> NetlistFile:
             _fault(nid + len(outputs) + 2, line, nid, True)
         outputs.append(parts[1])
     output_ids = []
+    digits = len(str(len(codes)))  # an id of more digits names no node
     for oid in outputs:
-        nid = int(oid) if oid.isascii() and oid.isdigit() else -1
+        nid = (int(oid) if oid.isascii() and oid.isdigit()
+               and len(oid) <= digits else -1)
         if str(nid) != oid or not 0 <= nid < len(codes):
             raise ValueError(f"bad output id {oid!r}")
         output_ids.append(nid)
@@ -246,7 +249,8 @@ def _fault(ln, line, nid, after_outputs):
         raise ValueError(f"line {ln}: node record after output records")
     if parts[0] != str(nid):
         got = parts[0]
-        if got.isascii() and got.isdigit() and str(int(got)) == got:
+        # canonical digits, read without int(), which refuses over 4300
+        if got.isascii() and got.isdigit() and (got[0] != "0" or got == "0"):
             raise ValueError(f"line {ln}: node id {got} out of sequence")
         raise ValueError(f"line {ln}: bad node id {got!r}")
     kind = parts[1] if len(parts) > 1 else ""

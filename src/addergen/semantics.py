@@ -95,31 +95,33 @@ def simulate(c: Circuit, assignment: dict) -> dict:
     return dict(zip(c.output_ids, outs))
 
 
-def packed_ripple(x_words, y_words):
-    """Packed oracle: carries c_2..c_{n+1} lane-parallel over words."""
-    carries = []
+def packed_ripple(words):
+    """Packed oracle: yields carries c_2..c_{n+1} lane-parallel, one word at
+    a time, from words x_1, y_1, ..., x_n, y_n."""
     c = 0
-    for x, y in zip(x_words, y_words):
+    pairs = iter(words)
+    for x, y in zip(pairs, pairs):
         c = y | (x & c)
-        carries.append(c)
-    return carries
+        yield c
 
 
 def _grid_chunks(n, base, x_digits, y_digits):
-    """Input words for the base**n grid, as (offset, width, x_words, y_words).
+    """Input words for the base**n grid, as (offset, width, words).
 
-    Lane t of a chunk encodes pattern index offset+t; bit position i of the
-    pattern is digit i of that index in the given base.  x_i is 1 on lanes
-    whose digit is in x_digits, likewise y_i.  Every chunk is base**j lanes,
-    the largest power of base within CHUNK_BITS and the grid, so chunks
-    start on multiples of base**j: a position i < j has the same periodic
-    word in every chunk, and a position i >= j holds one digit per chunk.
+    words holds x_1, y_1, ..., x_n, y_n in input order.  Lane t of a chunk
+    encodes pattern index offset+t; bit position i of the pattern is digit i
+    of that index in the given base.  x_i is 1 on lanes whose digit is in
+    x_digits, likewise y_i.  Every chunk is base**j lanes, the largest power
+    of base within CHUNK_BITS and the grid, so chunks start on multiples of
+    base**j: a position i < j has the same periodic words in every chunk,
+    and a position i >= j holds one digit per chunk.
     """
     j = 0
     while j < n and base ** (j + 1) <= CHUNK_BITS:
         j += 1
     width = base ** j
     full = (1 << width) - 1
+    sides = (x_digits, y_digits)
 
     def periodic(i, digits):
         # one block of base runs, base**i lanes per digit, replicated
@@ -127,13 +129,11 @@ def _grid_chunks(n, base, x_digits, y_digits):
         block = sum(((1 << period) - 1) << (d * period) for d in digits)
         return block * (full // ((1 << (period * base)) - 1))
 
-    low_x = [periodic(i, x_digits) for i in range(j)]
-    low_y = [periodic(i, y_digits) for i in range(j)]
+    low = [periodic(i, digits) for i in range(j) for digits in sides]
     for offset in range(0, base ** n, width):
-        high = [offset // base ** i % base for i in range(j, n)]
-        yield (offset, width,
-               low_x + [full if d in x_digits else 0 for d in high],
-               low_y + [full if d in y_digits else 0 for d in high])
+        yield offset, width, low + [
+            full if offset // base ** i % base in digits else 0
+            for i in range(j, n) for digits in sides]
 
 
 # ---------------------------------------------------------------------------
@@ -208,54 +208,54 @@ class VerifyReport(NamedTuple):
         return f"n={self.n} [{self.mode}] {status} ({parts})"
 
 
-def _collect_counterexamples(any_diff, x_words, y_words, expected, got,
-                             base_index, out):
+def _collect_counterexamples(any_diff, words, expected, got, base_index,
+                             out):
     """Append a counterexample per set lane of any_diff, lowest first."""
     while any_diff and len(out) < MAX_COUNTEREXAMPLES:
         t = (any_diff & -any_diff).bit_length() - 1
-        pairs = tuple(((xw >> t) & 1, (yw >> t) & 1)
-                      for xw, yw in zip(x_words, y_words))
+        bits = ((w >> t) & 1 for w in words)
         exp = tuple((w >> t) & 1 for w in expected)
         act = tuple((w >> t) & 1 for w in got)
-        out.append(Counterexample(base_index + t, pairs, exp, act))
+        out.append(Counterexample(base_index + t, tuple(zip(bits, bits)),
+                                  exp, act))
         any_diff &= any_diff - 1
 
 
-def _full_sum_words(a_words, b_words):
-    """Packed oracle: sum bits s_1..s_{n+1} of per-lane integer addition."""
-    x_words = [a ^ b for a, b in zip(a_words, b_words)]
-    y_words = [a & b for a, b in zip(a_words, b_words)]
-    carries = packed_ripple(x_words, y_words)
-    sums = [x_words[0]]
-    sums.extend(x ^ c for x, c in zip(x_words[1:], carries))
-    sums.append(carries[-1])
-    return sums
+def _full_sum_words(words):
+    """Packed oracle: yields sum bits s_1..s_{n+1} of per-lane integer
+    addition, one word at a time, from words a_1, b_1, ..., a_n, b_n."""
+    c = 0
+    pairs = iter(words)
+    for a, b in zip(pairs, pairs):
+        x = a ^ b
+        yield x ^ c
+        c = (a & b) | (x & c)
+    yield c
 
 
 def _run_phase(c, name, chunks, oracle):
-    """Simulate every chunk and compare with the packed oracle.
+    """Simulate every chunk and compare with the packed oracle as it folds.
 
-    chunks yields (offset, width, first_words, second_words) with one word
-    per bit position for lanes offset..offset+width-1; oracle(first_words,
-    second_words) gives the expected output words.  Only one chunk's words
-    are alive at a time: each is released before the next is drawn.
+    chunks yields (offset, width, words) with one word per circuit input,
+    in input order, for lanes offset..offset+width-1; oracle(words) yields
+    the expected output words.  Only one chunk's words are alive at a time:
+    each is released before the next is drawn.  The oracle runs a second
+    time, to a list, only for a chunk with a mismatch.
     """
     patterns = mismatches = 0
     counterexamples = []
-    for offset, width, x_words, y_words in chunks:
-        got = simulate_packed(
-            c, [w for xy in zip(x_words, y_words) for w in xy], width)
-        expected = oracle(x_words, y_words)
+    for offset, width, words in chunks:
+        got = simulate_packed(c, words, width)
         bad = 0
-        for e, g in zip(expected, got):
+        for e, g in zip(oracle(words), got):
             d = e ^ g
             mismatches += d.bit_count()
             bad |= d
         if bad:
-            _collect_counterexamples(bad, x_words, y_words, expected, got,
+            _collect_counterexamples(bad, words, list(oracle(words)), got,
                                      offset, counterexamples)
         patterns += width
-        del x_words, y_words, got, expected
+        del words, got
     return PhaseResult(name, patterns, mismatches, counterexamples)
 
 
@@ -312,9 +312,8 @@ def _verify(c, n, extra, oracle, grids, labels, mode, samples, seed):
         def drawn():
             for offset in range(0, samples, CHUNK_BITS):
                 width = min(CHUNK_BITS, samples - offset)
-                words = [rng.getrandbits(width) for _ in range(2 * n)]
-                yield offset, width, words[0::2], words[1::2]
-                del words
+                yield offset, width, [rng.getrandbits(width)
+                                      for _ in range(2 * n)]
 
         phases.append(_run_phase(c, "random", drawn(), oracle))
     else:

@@ -201,7 +201,7 @@ def reference_loads(text):
         raise ValueError("empty netlist")
     try:
         header = json.loads(first)
-    except (json.JSONDecodeError, RecursionError) as e:
+    except (ValueError, RecursionError) as e:
         raise ValueError(f"bad netlist header: {e}") from None
     if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
         raise ValueError("not an addergen netlist")
@@ -234,7 +234,8 @@ def reference_loads(text):
         nid = len(codes)
         if parts[0] != str(nid):
             got = parts[0]
-            if got.isascii() and got.isdigit() and str(int(got)) == got:
+            if got.isascii() and got.isdigit() and (
+                    got.lstrip("0") == got or got == "0"):
                 raise ValueError(f"line {ln}: node id {got} out of sequence")
             raise ValueError(f"line {ln}: bad node id {got!r}")
         kind = parts[1] if len(parts) > 1 else ""
@@ -264,7 +265,10 @@ def reference_loads(text):
         f1.append(b)
     output_ids = []
     for oid in outputs:
-        nid = int(oid) if oid.isascii() and oid.isdigit() else -1
+        try:
+            nid = int(oid) if oid.isascii() and oid.isdigit() else -1
+        except ValueError:  # more digits than int() converts
+            nid = -1
         if str(nid) != oid or not 0 <= nid < len(codes):
             raise ValueError(f"bad output id {oid!r}")
         output_ids.append(nid)

@@ -296,9 +296,8 @@ def test_criterion_8_property_suites(acceptance):
     # demorgan_map paired-simulation equivalence per mapped instance
     exhaustive = build_adder(AdderSpec("ripple", 4))
     mapped = demorgan_map(levelize(exhaustive))
-    for _, width, xs, ys in _grid_chunks(4, 4, {1, 3}, {2, 3}):
-        flat = [w for xy in zip(xs, ys) for w in xy]
-        if not _paired_equivalent(exhaustive, mapped, [flat], width):
+    for _, width, words in _grid_chunks(4, 4, {1, 3}, {2, 3}):
+        if not _paired_equivalent(exhaustive, mapped, [words], width):
             failures.append("demorgan ripple@4 exhaustive")
     rng = random.Random(88)
     for family, n in (("brent-kung", 8), ("mig", 16), ("linear", 64)):

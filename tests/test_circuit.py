@@ -267,6 +267,25 @@ class TestViolationRules:
         assert found(c) == [("arity", 2, "not has 2 fanins"),
                             ("arity", 3, "and has 1 fanins")]
 
+    @pytest.mark.parametrize("code", [-128, -1, 8, 127])
+    def test_kind_unknown_code(self, code):
+        # 8..127 and -128 made validate raise IndexError, and -1 validated
+        # clean as a nor; node 3's earlier fanin still counts as node 2's
+        # consumer, so node 2 is no dangling gate
+        c = raw_circuit([0, 0, 1, code], [-1, -1, 0, 2], [-1, -1, 1, -1], (3,))
+        assert found(c) == [("kind", 3, f"unknown kind code {code}")]
+        with pytest.raises(CircuitError, match="^invalid circuit: kind@3$"):
+            metrics(c)
+
+    @pytest.mark.parametrize("code", [-128, -1, 8, 127])
+    def test_kind_comes_before_ordering(self, code):
+        # an unknown kind has no arity to check, but its fanins keep their
+        # order rule: node 3 reads node 2 and the later node 4
+        c = raw_circuit([0, 0, 1, code, 4], [-1, -1, 0, 2, 3],
+                        [-1, -1, 1, 4, -1], (4,))
+        assert found(c) == [("kind", 3, f"unknown kind code {code}"),
+                            ("ordering", 3, "fanin 4 not earlier")]
+
     def test_ordering(self):
         # node 2 reads the later node 3, node 4 reads itself; both of
         # those nodes are outputs, so no consumer count hinges on the loop

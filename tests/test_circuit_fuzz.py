@@ -1,10 +1,12 @@
 """Seeded fuzz of raw circuit arrays against validate.
 
 Small circuits are drawn straight into arrays, and some get one fanin slot
-overwritten with a nearby id, -1 or a negative number. Whatever validates
-clean must measure as its fanins() describe it: consumer_counts, node_depths
-and simulate agree with recounts over fanins(), and metrics raises
-nothing. Standard library only, so it runs without hypothesis.
+overwritten with a nearby id, -1 or a negative number, or one kind code
+overwritten with a code that names no kind. Whatever validates clean must
+measure as its fanins() describe it: consumer_counts, node_depths and
+simulate agree with recounts over fanins(), and metrics raises nothing.
+Every unknown code is reported, ahead of the node rules. Standard library
+only, so it runs without hypothesis.
 """
 
 import random
@@ -23,7 +25,8 @@ OPS = [None, lambda a, b: a & b, lambda a, b: a | b, lambda a, b: a ^ b,
 
 def draw_circuit(rng):
     """A near-valid raw circuit of 2 to 9 nodes, 1 to 3 of them inputs,
-    whose outputs are the gates nothing reads before one slot may change."""
+    whose outputs are the gates nothing reads before one slot or one code
+    may change."""
     k = rng.randint(1, 3)
     codes, f0, f1 = [INPUT] * k, [-1] * k, [-1] * k
     for nid in range(k, rng.randint(k + 1, 9)):
@@ -37,6 +40,9 @@ def draw_circuit(rng):
     if rng.random() < 0.8:
         slots = rng.choice((f0, f1))
         slots[rng.randrange(n)] = rng.randint(-5, n + 1)
+    if rng.random() < 0.1:
+        bad = rng.randint(-128, 119)  # -128..-1 or, shifted, 8..127
+        codes[rng.randrange(n)] = bad + 8 if bad >= 0 else bad
     return Circuit("fuzz", array("b", codes), array("i", f0), array("i", f1),
                    tuple(outputs))
 
@@ -67,3 +73,20 @@ def test_clean_circuits_measure_as_their_fanins_say():
             assert simulate(c, dict(zip(c.input_ids, bits))) == {
                 o: values[o] for o in c.output_ids}
     assert clean > 4000
+
+
+def test_unknown_kind_codes_are_reported_first():
+    # one "kind" violation per node whose code names no kind, ahead of
+    # every node rule, and validate raises nothing on any draw
+    rng = random.Random(2801)
+    seen = 0
+    for _ in range(20_000):
+        c = draw_circuit(rng)
+        unknown = [nid for nid, code in enumerate(c._codes)
+                   if not 0 <= code < len(KIND_ARITY)]
+        found = [v for v in validate(c) if v.rule != "no-gates"]
+        assert [(v.rule, v.node) for v in found[:len(unknown)]] == [
+            ("kind", nid) for nid in unknown]
+        assert [v.rule for v in found].count("kind") == len(unknown)
+        seen += bool(unknown)
+    assert seen > 1500

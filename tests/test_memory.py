@@ -21,7 +21,7 @@ from addergen.netlist import (
     FORMAT_NAME, FORMAT_VERSION, _interface_names, circuit_to_dot,
     dumps_netlist, save_netlist,
 )
-from addergen.semantics import CHUNK_BITS, verify_adder
+from addergen.semantics import CHUNK_BITS, verify_adder, verify_full_adder
 from tests.test_golden import GOLDEN, digest
 
 
@@ -45,6 +45,18 @@ def test_verify_peak_does_not_grow_with_samples():
         return rep[0]
 
     assert peak(3 * CHUNK_BITS) <= 1.1 * peak(CHUNK_BITS)
+
+
+def test_sampled_full_adder_peak_is_a_few_input_chunks():
+    # the oracle folds one sum word at a time against the simulated words,
+    # so one chunk holds its input words, the circuit's live words and the
+    # output words, and no x, y, carry or sum list beside them
+    n = 256
+    c = build_full_adder(AdderSpec("linear", n))
+    peak, rep = traced_peak(lambda: verify_full_adder(
+        c, n, mode="random", samples=CHUNK_BITS))
+    assert rep.ok and rep.patterns == CHUNK_BITS
+    assert peak <= 3 * (2 * n * CHUNK_BITS // 8)
 
 
 def test_dumps_peak_is_text_plus_blocks(monkeypatch):

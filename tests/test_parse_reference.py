@@ -96,3 +96,31 @@ def test_mutants_parse_as_the_reference_parses(chunk, monkeypatch):
     # the mutants reach most messages, and some still parse
     assert len(seen) >= 20, sorted(seen)
     assert parsed > 50
+
+
+BIG = "9" * 5000  # past int()'s limit of 4300 digits
+RIPPLE = SOURCES[0].split("\n")  # header, inputs 0..5, "6 and 0 1", ...
+
+
+@pytest.mark.parametrize("chunk", [1, 7, netlist._CHUNK])
+@pytest.mark.parametrize("lines, message", [
+    (RIPPLE[:2] + [f"{BIG} input"] + RIPPLE[3:],
+     f"line 3: node id {BIG} out of sequence"),
+    (RIPPLE[:7] + [f"{BIG} and 0 1"] + RIPPLE[8:],
+     f"line 8: node id {BIG} out of sequence"),
+    (RIPPLE[:7] + ["6 and 0 " + BIG] + RIPPLE[8:], "line 8: bad fanin id"),
+    (RIPPLE[:-2] + [f"output {BIG}", ""], f"bad output id '{BIG}'"),
+    ([RIPPLE[0].replace('"version":1', f'"version":{BIG}')] + RIPPLE[1:],
+     "bad netlist header: Exceeds the limit (4300 digits) for integer "
+     "string conversion: value has 5000 digits; use "
+     "sys.set_int_max_str_digits() to increase the limit"),
+], ids=["input-id", "gate-id", "fanin", "output-id", "header-int"])
+def test_digit_limit_reads_as_the_parsers_own_message(chunk, lines, message,
+                                                     monkeypatch):
+    # int() refuses more than 4300 digits with a message of its own; the
+    # parse turns that into its line, output id or header message
+    monkeypatch.setattr(netlist, "_CHUNK", chunk)
+    text = "\n".join(lines)
+    for parse in (loads_netlist, reference_loads):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse(text)

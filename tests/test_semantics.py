@@ -174,14 +174,29 @@ class TestPackedSimulation:
     def test_packed_ripple_matches_scalar_lanes(self):
         rng = random.Random(2)
         n, width = 6, 37
-        xw = [rng.getrandbits(width) for _ in range(n)]
-        yw = [rng.getrandbits(width) for _ in range(n)]
-        packed = packed_ripple(xw, yw)
+        words = [rng.getrandbits(width) for _ in range(2 * n)]
+        packed = list(packed_ripple(words))
+        assert len(packed) == n
         for t in range(width):
-            pairs = [((xw[i] >> t) & 1, (yw[i] >> t) & 1) for i in range(n)]
-            scalar = ripple_carries(pairs)
+            bits = iter([(w >> t) & 1 for w in words])
+            scalar = ripple_carries(list(zip(bits, bits)))
             got = [(w >> t) & 1 for w in packed]
             assert got == scalar
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_full_sum_words_match_scalar_lanes(self, n):
+        # words are a_1, b_1, ..., a_n, b_n; every lane adds its summands
+        rng = random.Random(30 + n)
+        width = 41
+        words = [rng.getrandbits(width) for _ in range(2 * n)]
+        packed = list(semantics._full_sum_words(words))
+        assert len(packed) == n + 1
+        for t in range(width):
+            bits = iter([(w >> t) & 1 for w in words])
+            a, b = zip(*zip(bits, bits))  # the lane's summand bits
+            got = [(w >> t) & 1 for w in packed]
+            assert got == sum_bits(gp_prepare(a, b))
+            assert bits_to_int(got) == bits_to_int(a) + bits_to_int(b)
 
 
 class TestEnumerationWords:
@@ -197,17 +212,19 @@ class TestEnumerationWords:
         monkeypatch.setattr(semantics, "CHUNK_BITS", chunk_bits)
         n = 6
         end = 0
-        for offset, width, xw, yw in _grid_chunks(n, base, x_digits,
-                                                  y_digits):
+        for offset, width, words in _grid_chunks(n, base, x_digits,
+                                                 y_digits):
             assert offset == end and 1 <= width <= chunk_bits
+            assert len(words) == 2 * n
             end += width
             for i in range(n):
-                assert xw[i] >> width == 0 and yw[i] >> width == 0
+                x, y = words[2 * i], words[2 * i + 1]
+                assert x >> width == 0 and y >> width == 0
                 period = base ** i
                 for t in range(width):
                     d = ((offset + t) // period) % base
-                    assert (xw[i] >> t) & 1 == (1 if d in x_digits else 0)
-                    assert (yw[i] >> t) & 1 == (1 if d in y_digits else 0)
+                    assert (x >> t) & 1 == (1 if d in x_digits else 0)
+                    assert (y >> t) & 1 == (1 if d in y_digits else 0)
         assert end == base ** n
 
     def test_grid_is_complete(self):
@@ -215,10 +232,10 @@ class TestEnumerationWords:
         # and none of them contains the unrealizable pair (x, y) = (1, 1)
         n = 3
         seen = set()
-        for _, width, xw, yw in _grid_chunks(n, 3, {2}, {1}):
+        for _, width, words in _grid_chunks(n, 3, {2}, {1}):
             for t in range(width):
-                seen.add(tuple(((xw[i] >> t) & 1, (yw[i] >> t) & 1)
-                               for i in range(n)))
+                bits = iter([(w >> t) & 1 for w in words])
+                seen.add(tuple(zip(bits, bits)))
         assert len(seen) == 27
         assert all((x, y) != (1, 1) for pat in seen for x, y in pat)
 
