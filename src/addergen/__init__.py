@@ -11,7 +11,7 @@ verify them against bit-level semantics, and compare their measurements.
 from .circuit import (
     AND, BUF, INPUT, KIND_NAMES, NAND, NOR, NOT, OR, XOR,
     Circuit, CircuitBuilder, CircuitError, Metrics, Violation,
-    constant_fold, metrics, node_depths, prune_dead, validate,
+    metrics, node_depths, prune_dead, validate,
 )
 from .semantics import (
     VerifyReport, prove_adder, simulate, simulate_packed, verify_adder,
@@ -34,9 +34,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AND", "BUF", "INPUT", "KIND_NAMES", "NAND", "NOR", "NOT", "OR", "XOR",
     "Circuit", "CircuitBuilder", "CircuitError", "Metrics", "Violation",
-    "constant_fold", "metrics", "node_depths", "prune_dead",
-    "validate", "VerifyReport", "prove_adder", "simulate", "simulate_packed",
-    "verify_adder",
+    "metrics", "node_depths", "prune_dead", "validate", "VerifyReport",
+    "prove_adder", "simulate", "simulate_packed", "verify_adder",
     "PrefixGraph", "brent_kung", "expand_to_logic", "kogge_stone",
     "serial_prefix", "sklansky",
     "build_mig_adder", "choose_params",

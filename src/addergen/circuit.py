@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from array import array
 from itertools import accumulate, compress, count
-from operator import and_, not_, or_, xor
+from operator import not_
 from typing import NamedTuple
 
 # kind codes, as stored in the circuit arrays; names appear only in text
@@ -36,11 +36,20 @@ def _check_ints(**params):
             raise ValueError(f"{key} must be an int, got {value!r}")
 
 
-def _check_bits(assignment: dict):
-    """Raise ValueError naming a key whose value is not the int 0 or 1."""
-    for key, value in assignment.items():
-        if type(value) is not int or value not in (0, 1):
-            raise ValueError(f"input {key!r} must be 0 or 1, got {value!r}")
+def _unknown_kinds(codes) -> list:
+    """(node, code) for each of an array("b")'s codes that names no kind."""
+    # deleting every kind code's byte leaves one only where a code names no
+    # kind; only then are the codes walked in Python
+    if not codes.tobytes().translate(None, bytes(range(INPUT, NOR + 1))):
+        return []
+    return [(nid, code) for nid, code in enumerate(codes)
+            if not INPUT <= code <= NOR]
+
+
+def _check_kinds(c: "Circuit"):
+    """Raise ValueError naming the first node of c whose code names no kind."""
+    for nid, code in _unknown_kinds(c._codes):
+        raise ValueError(f"node {nid} has unknown kind code {code}")
 
 
 class Violation(NamedTuple):
@@ -224,12 +233,8 @@ def validate(c: Circuit) -> list:
     out = []
     if c.num_gates == 0:
         out.append(Violation("no-gates", -1, "circuit has no gates"))
-    # deleting every kind code's byte leaves one only where a code names no
-    # kind; only then are the codes walked in Python
-    if codes.tobytes().translate(None, bytes(range(INPUT, NOR + 1))):
-        out.extend(Violation("kind", nid, f"unknown kind code {code}")
-                   for nid, code in enumerate(codes)
-                   if not INPUT <= code <= NOR)
+    out.extend(Violation("kind", nid, f"unknown kind code {code}")
+               for nid, code in _unknown_kinds(codes))
     # suspects: nodes whose fanins (earlier ids, -1 where absent) do not
     # fit their kind; only they get the per-rule report below
     suspects = []
@@ -321,9 +326,19 @@ def metrics(c: Circuit) -> Metrics:
 
 def prune_dead(c: Circuit) -> Circuit:
     """Drop gates that cannot reach an output marker; inputs always survive."""
+    return _cut(c, c.output_ids, c.input_ids)
+
+
+def _cut(c: Circuit, outputs, inputs) -> Circuit:
+    """c with only the given input ids and output markers, and the gates
+    that reach those markers, all in id order.
+
+    Raises ValueError if a kept gate reads an input that is not kept:
+    no renumbering could wire that fanin to the node it read.
+    """
     n = len(c)
     live = bytearray(n + 1)  # slot -1 absorbs the absent fanin -1
-    for oid in c.output_ids:
+    for oid in outputs:
         live[oid] = 1
     for nid, a, b in zip(range(n - 1, -1, -1), reversed(c._f0),
                          reversed(c._f1)):
@@ -331,8 +346,12 @@ def prune_dead(c: Circuit) -> Circuit:
             live[a] = 1
             live[b] = 1
     del live[-1]
+    kept = set(inputs)
     for nid in c.input_ids:
-        live[nid] = 1
+        if nid in kept:
+            live[nid] = 1
+        elif live[nid]:
+            raise ValueError(f"a kept gate reads dropped input {nid}")
     # survivors keep their relative order, so a survivor's new id is the
     # number of survivors before it; every fanin of a survivor survives
     remap = array("i", accumulate(live, initial=0))
@@ -340,69 +359,7 @@ def prune_dead(c: Circuit) -> Circuit:
     f0 = array("i", map(remap.__getitem__, compress(c._f0, live)))
     f1 = array("i", map(remap.__getitem__, compress(c._f1, live)))
     codes = array("b", bytes(compress(c._codes, live)))
-    return Circuit(c.name, codes, f0, f1,
-                   tuple(remap[oid] for oid in c.output_ids))
-
-
-# kind code -> value of the gate on fanin bits (one-input gates ignore q)
-_BIT_FUNCS = {AND: and_, OR: or_, XOR: xor, NOT: lambda p, q: p ^ 1,
-              BUF: lambda p, q: p, NAND: lambda p, q: (p & q) ^ 1,
-              NOR: lambda p, q: (p | q) ^ 1}
-
-
-def constant_fold(c: Circuit, assignment: dict, keep_outputs=None) -> Circuit:
-    """Propagate constants bound to some inputs and rebuild the rest.
-
-    assignment maps input ids to 0/1.  A gate whose inputs are all
-    constant is a constant; a two-input gate with one constant input is,
-    as a function of its live input, a constant, an alias of it, or its
-    Not (And with 1 is an alias, And with 0 a constant, Xor with 1 a Not).
-    keep_outputs selects which original output markers survive; a kept
-    output must not fold to a constant.  Dead logic is pruned.
-    """
-    inputs, outputs = set(c.input_ids), set(c.output_ids)
-    for nid in assignment:
-        if nid not in inputs:
-            raise ValueError(f"assignment target {nid} is not an input")
-    _check_bits(assignment)
-    b = CircuitBuilder(c.name)
-    const = {}  # old id -> 0/1
-    remap = {}  # old id -> new id
-    for nid, code, x, y in zip(count(), c._codes, c._f0, c._f1):
-        if code == INPUT:
-            if nid in assignment:
-                const[nid] = assignment[nid]
-            else:
-                remap[nid] = b.add_input()
-            continue
-        f = _BIT_FUNCS[code]
-        if x in const and (y < 0 or y in const):  # every input constant
-            const[nid] = f(const[x], const.get(y, 0))
-        elif y < 0:
-            remap[nid] = b.add_gate(code, remap[x])
-        elif x not in const and y not in const:
-            remap[nid] = b.add_gate(code, remap[x], remap[y])
-        else:  # one constant input: call f with the live one at 0 and 1
-            cv, live = ((const[x], remap[y]) if x in const
-                        else (const[y], remap[x]))
-            lo, hi = f(cv, 0), f(cv, 1)
-            if lo == hi:
-                const[nid] = lo
-            elif hi:
-                remap[nid] = live
-            else:
-                remap[nid] = b.add_gate(NOT, live)
-    wanted = list(c.output_ids) if keep_outputs is None else list(keep_outputs)
-    for oid in wanted:
-        if oid not in outputs:
-            raise ValueError(f"kept id {oid} is not an output")
-        if oid in const:
-            raise ValueError(f"kept output {oid} folded to constant {const[oid]}")
-        nid = remap[oid]
-        if b._codes[nid] == INPUT:  # an alias of an input; outputs are gates
-            nid = b.add_gate(BUF, nid)
-        b.mark_output(nid)
-    return prune_dead(b.build())
+    return Circuit(c.name, codes, f0, f1, tuple(remap[oid] for oid in outputs))
 
 
 def lsb_carry(b: CircuitBuilder, x1: int, ysrc: int) -> int:

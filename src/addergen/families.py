@@ -8,9 +8,9 @@ one front door:
   circuit.
 * build_adder dispatches on the family and extends each one to every
   width n >= 1.  A family whose construction needs a power of two is
-  built at the next power, the extra high-order positions are pinned to
-  the neutral pair (x, y) = (1, 0), constants are folded out, and only
-  the first n carries stay marked.
+  built at the next power and cut to its first n carries, the gates that
+  reach them, and its first 2n inputs: carry c_{i+1} reads positions 1..i
+  only, so the cut drops every high-order input.
 * build_full_adder wraps a carry circuit into a complete adder: inputs
   a_1,b_1,...,a_n,b_n, per-bit preparation x_i = a_i xor b_i and
   y_i = a_i and b_i, and sum outputs s_1..s_{n+1} where s_1 = x_1,
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-from .circuit import AND, XOR, Circuit, CircuitBuilder, constant_fold
+from .circuit import AND, XOR, Circuit, CircuitBuilder, _cut
 from .mig import build_mig_adder
 from .prefix import (
     brent_kung,
@@ -133,15 +133,8 @@ def build_adder(spec: AdderSpec) -> Circuit:
     fam = _check_spec(spec)
     if fam.native(spec.n):
         return fam.build(spec.n, spec)
-    m = _next_pow2(spec.n)
-    core = fam.build(m, spec)
-    ins = core.input_ids
-    pinned = {}
-    for i in range(spec.n, m):
-        pinned[ins[2 * i]] = 1  # high-order propagate
-        pinned[ins[2 * i + 1]] = 0  # high-order generate
-    return constant_fold(core, pinned,
-                         keep_outputs=core.output_ids[:spec.n])
+    core = fam.build(_next_pow2(spec.n), spec)
+    return _cut(core, core.output_ids[:spec.n], core.input_ids[:2 * spec.n])
 
 
 def build_full_adder(spec: AdderSpec) -> Circuit:

@@ -25,6 +25,7 @@ from itertools import count, islice
 from typing import NamedTuple
 
 from .circuit import INPUT, KIND_ARITY, KIND_NAMES, Circuit, CircuitError
+from .circuit import _check_kinds
 from .families import AdderSpec, _spec_type_problem
 
 FORMAT_NAME = "addergen-netlist"
@@ -98,6 +99,7 @@ def _netlist_blocks(c: Circuit, spec: AdderSpec | None, full_adder: bool):
 def dumps_netlist(c: Circuit, spec: AdderSpec | None = None,
                   full_adder: bool = False) -> str:
     """Serialize a circuit (plus provenance) to netlist text."""
+    _check_kinds(c)
     return "".join(_netlist_blocks(c, spec, full_adder))
 
 
@@ -262,20 +264,23 @@ def _fault(ln, line, nid, after_outputs):
         raise ValueError(f"line {ln}: input with fanins" if code == INPUT
                          else f"line {ln}: {kind} expects {want} fanins, "
                          f"got {len(parts) - 2}")
-    try:
-        a = int(parts[2])
-        b = int(parts[3]) if want == 2 else -1
-        if str(a) != parts[2] or want == 2 and str(b) != parts[3]:
-            raise ValueError
-    except ValueError:
-        raise ValueError(f"line {ln}: bad fanin id") from None
-    bad = a if not 0 <= a < nid else b
-    raise ValueError(f"line {ln}: fanin {bad} not an earlier node")
+    fans = parts[2:]
+    for tok in fans:
+        # canonical decimal, as str(int(tok)) writes it, read without int()
+        got = tok.removeprefix("-")
+        if not (got.isascii() and got.isdigit()
+                and (got[0] != "0" or tok == "0")):
+            raise ValueError(f"line {ln}: bad fanin id")
+    # an id of more digits than nid names no earlier node
+    bad = [tok for tok in fans if tok[0] == "-" or len(tok) > len(str(nid))
+           or int(tok) >= nid]
+    raise ValueError(f"line {ln}: fanin {bad[0]} not an earlier node")
 
 
 def save_netlist(c: Circuit, path, spec: AdderSpec | None = None,
                  full_adder: bool = False) -> None:
     """Write a circuit to a netlist file."""
+    _check_kinds(c)  # before the file is opened, so none is left half made
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(_netlist_blocks(c, spec, full_adder))
 
@@ -291,6 +296,7 @@ def _dot_blocks(c: Circuit):
     lines each joined _BLOCK nodes at a time, and the closing brace."""
     if c.num_gates == 0:
         raise ValueError("circuit has no gates to export")
+    _check_kinds(c)
     safe = (c.name or "circuit").replace("\\", "\\\\").replace('"', '\\"')
     yield f'digraph "{safe}" {{\n  rankdir=LR;\n'
     out_set = set(c.output_ids)

@@ -20,7 +20,7 @@ from itertools import count
 from typing import NamedTuple
 
 from .circuit import AND, BUF, INPUT, KIND_NAMES, NAND, NOR, NOT, OR, XOR
-from .circuit import Circuit, _check_bits, _check_ints
+from .circuit import Circuit, _check_ints, _check_kinds
 
 # ---------------------------------------------------------------------------
 # packed simulation
@@ -89,7 +89,10 @@ def simulate(c: Circuit, assignment: dict) -> dict:
     for nid in c.input_ids:
         if nid not in assignment:
             raise ValueError(f"input {nid} missing from the assignment")
-    _check_bits(assignment)
+    for key, value in assignment.items():
+        if type(value) is not int or value not in (0, 1):
+            raise ValueError(f"input {key!r} must be 0 or 1, got {value!r}")
+    _check_kinds(c)
     words = [assignment[nid] for nid in c.input_ids]
     outs = simulate_packed(c, words, 1)
     return dict(zip(c.output_ids, outs))

@@ -21,6 +21,7 @@ paths and inline comparisons must agree with both exactly.
 """
 
 import json
+import re
 from array import array
 
 from addergen.circuit import (
@@ -250,16 +251,15 @@ def reference_loads(text):
         if code == INPUT:
             a = b = -1
         else:
-            try:
-                a = int(parts[2])
-                b = int(parts[3]) if want == 2 else -1
-                if str(a) != parts[2] or want == 2 and str(b) != parts[3]:
-                    raise ValueError
-            except ValueError:
-                raise ValueError(f"line {ln}: bad fanin id") from None
-            if not (0 <= a < nid and (want == 1 or 0 <= b < nid)):
-                bad = a if not 0 <= a < nid else b
-                raise ValueError(f"line {ln}: fanin {bad} not an earlier node")
+            fans = parts[2:]
+            if not all(re.fullmatch(r"0|-?[1-9][0-9]*", f) for f in fans):
+                raise ValueError(f"line {ln}: bad fanin id")
+            for f in fans:  # more digits than nid has: no earlier node
+                if f[0] == "-" or len(f) > len(str(nid)) or int(f) >= nid:
+                    raise ValueError(
+                        f"line {ln}: fanin {f} not an earlier node")
+            a = int(fans[0])
+            b = int(fans[1]) if want == 2 else -1
         codes.append(code)
         f0.append(a)
         f1.append(b)

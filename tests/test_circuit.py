@@ -1,5 +1,5 @@
 """Structural-layer tests: builder invariants, validation, metrics,
-fan-out accounting, pruning, constant folding, and repeater chains."""
+fan-out accounting, pruning and cutting, and repeater chains."""
 
 from array import array
 from functools import partial
@@ -7,10 +7,9 @@ from functools import partial
 import pytest
 
 from addergen.circuit import (
-    AND, BUF, INPUT, NAND, NOR, NOT, OR, XOR,
+    AND, BUF, INPUT, NOT, OR,
     Circuit, CircuitBuilder, CircuitError, FanoutChain,
-    constant_fold, lsb_carry, metrics, node_depths,
-    prune_dead, validate,
+    lsb_carry, metrics, node_depths, prune_dead, validate,
 )
 from addergen import circuit, netlist, semantics
 from addergen.cli import compare_rows
@@ -278,6 +277,28 @@ class TestViolationRules:
             metrics(c)
 
     @pytest.mark.parametrize("code", [-128, -1, 8, 127])
+    @pytest.mark.parametrize("run", [
+        netlist.dumps_netlist, netlist.circuit_to_dot,
+        partial(simulate, assignment={0: 1, 1: 0})],
+        ids=["dumps_netlist", "circuit_to_dot", "simulate"])
+    def test_kind_unknown_code_outside_validate(self, run, code):
+        # these do not validate, so they scan the codes themselves: no
+        # code outside 0..7 may index the kind tables or the gate chain
+        c = raw_circuit([0, 0, code], [-1, -1, 0], [-1, -1, 1], (2,))
+        with pytest.raises(ValueError,
+                           match=f"^node 2 has unknown kind code {code}$"):
+            run(c)
+
+    def test_save_netlist_names_an_unknown_code_before_writing(self,
+                                                              tmp_path):
+        c = raw_circuit([0, 0, 8], [-1, -1, 0], [-1, -1, 1], (2,))
+        path = tmp_path / "raw.adder"
+        with pytest.raises(ValueError,
+                           match="^node 2 has unknown kind code 8$"):
+            netlist.save_netlist(c, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("code", [-128, -1, 8, 127])
     def test_kind_comes_before_ordering(self, code):
         # an unknown kind has no arity to check, but its fanins keep their
         # order rule: node 3 reads node 2 and the later node 4
@@ -434,114 +455,26 @@ class TestPrune:
             got_p = [simulate(p, b_)[o] for o in p.output_ids]
             assert got_c == got_p
 
+    def test_cut_keeps_given_inputs_and_outputs(self):
+        # tiny_carry2's c2 reads x1 and y1 only: the cut to c2 and the
+        # first two inputs drops x2, y2 and c3's two gates
+        c = tiny_carry2()
+        cut = circuit._cut(c, c.output_ids[:1], c.input_ids[:2])
+        assert validate(cut) == []
+        assert (cut.input_ids, len(cut.output_ids)) == ((0, 1), 1)
+        assert cut.num_gates == 3
+        for x1 in (0, 1):
+            for y1 in (0, 1):
+                got = simulate(cut, {0: x1, 1: y1})
+                assert got == {cut.output_ids[0]: y1}
 
-class TestConstantFold:
-    def _fold_target(self):
-        b = CircuitBuilder()
-        x0 = b.add_input()
-        x1 = b.add_input()
-        x2 = b.add_input()
-        g1 = b.add_gate(AND, x0, x1)
-        g2 = b.add_gate(XOR, g1, x2)
-        g3 = b.add_gate(OR, g1, x2)
-        b.mark_output(g2)
-        b.mark_output(g3)
-        return b.build(), (x0, x1, x2), (g2, g3)
-
-    def test_identity_and_absorption(self):
-        c, (x0, x1, x2), (g2, g3) = self._fold_target()
-        # x1 = 1 makes the And an alias of x0
-        f = constant_fold(c, {x1: 1})
-        assert len(f.input_ids) == 2
-        for p in range(4):
-            bits = {f.input_ids[0]: p & 1, f.input_ids[1]: (p >> 1) & 1}
-            out = [simulate(f, bits)[o] for o in f.output_ids]
-            ref = {0: (p & 1) & 1, 1: (p >> 1) & 1}
-            want = [((p & 1) ^ ((p >> 1) & 1)), ((p & 1) | ((p >> 1) & 1))]
-            assert out == want
-
-    def test_xor_with_one_becomes_not(self):
-        b = CircuitBuilder()
-        x0 = b.add_input()
-        x1 = b.add_input()
-        g = b.add_gate(XOR, x0, x1)
-        b.mark_output(g)
-        f = constant_fold(b.build(), {x1: 1})
-        assert f.kind(f.output_ids[0]) == NOT
-        assert simulate(f, {0: 0})[f.output_ids[0]] == 1
-        assert simulate(f, {0: 1})[f.output_ids[0]] == 0
-
-    def test_folded_output_raises(self):
-        b = CircuitBuilder()
-        x0 = b.add_input()
-        x1 = b.add_input()
-        g = b.add_gate(AND, x0, x1)
-        b.mark_output(g)
-        with pytest.raises(ValueError):
-            constant_fold(b.build(), {x0: 0, x1: 1})
-
-    @pytest.mark.parametrize("kind,absorbing,value", [
-        (AND, 0, 0), (NAND, 0, 1), (OR, 1, 1), (NOR, 1, 0)],
-        ids=["and-0-0", "nand-0-1", "or-1-1", "nor-1-0"])
-    def test_one_absorbing_input_folds_to_constant(self, kind, absorbing,
-                                                   value):
-        b = CircuitBuilder()
-        x0, x1, x2 = b.add_input(), b.add_input(), b.add_input()
-        g = b.add_gate(kind, x0, x1)
-        b.mark_output(b.add_gate(XOR, g, x2))
-        f = constant_fold(b.build(), {x1: absorbing})
-        # the Xor sees g as the constant: an alias of x2 or its Not;
-        # x0 is left dangling
-        assert f.num_gates == 1
-        assert f.kind(f.output_ids[0]) == (NOT if value else BUF)
-        for p in range(4):
-            bits = {f.input_ids[0]: p & 1, f.input_ids[1]: p >> 1}
-            assert simulate(f, bits)[f.output_ids[0]] == (p >> 1) ^ value
-
-    @pytest.mark.parametrize("kind,absorbing", [
-        (AND, 0), (NAND, 0), (OR, 1), (NOR, 1)],
-        ids=["and-0", "nand-0", "or-1", "nor-1"])
-    def test_kept_output_on_absorbed_gate_raises(self, kind, absorbing):
-        b = CircuitBuilder()
-        x0, x1 = b.add_input(), b.add_input()
-        b.mark_output(b.add_gate(kind, x0, x1))
-        with pytest.raises(ValueError, match="folded to constant"):
-            constant_fold(b.build(), {x1: absorbing})
-
-    def test_assignment_to_gate_raises(self):
-        c, _, (g2, _) = self._fold_target()
-        with pytest.raises(ValueError, match="is not an input"):
-            constant_fold(c, {g2: 0})
-
-    @pytest.mark.parametrize("target", [10**6, 6, -1, -5])
-    def test_assignment_outside_the_inputs_raises(self, target):
-        c, _, _ = self._fold_target()
-        message = f"^assignment target {target} is not an input$"
-        with pytest.raises(ValueError, match=message):
-            constant_fold(c, {target: 1})
-
-    @pytest.mark.parametrize("kept", [10**6, -1, 0, 3])
-    def test_keep_outputs_outside_the_outputs_raises(self, kept):
-        c, _, _ = self._fold_target()
-        message = f"^kept id {kept} is not an output$"
-        with pytest.raises(ValueError, match=message):
-            constant_fold(c, {}, keep_outputs=[kept])
-
-    def test_alias_output_gets_buffer(self):
-        b = CircuitBuilder()
-        x0 = b.add_input()
-        x1 = b.add_input()
-        g = b.add_gate(AND, x0, x1)
-        b.mark_output(g)
-        f = constant_fold(b.build(), {x1: 1})
-        assert validate(f) == []
-        assert f.kind(f.output_ids[0]) == BUF
-
-    def test_keep_outputs_subset(self):
-        c, _, (g2, g3) = self._fold_target()
-        f = constant_fold(c, {}, keep_outputs=[g3])
-        assert len(f.output_ids) == 1
-        assert f.kind(f.output_ids[0]) == OR
+    def test_cut_refuses_a_dropped_input_that_a_kept_gate_reads(self):
+        # c3 reads y2 (input 3); dropping it would wire c3's Or to
+        # whichever node took id 3
+        c = tiny_carry2()
+        with pytest.raises(ValueError,
+                           match="^a kept gate reads dropped input 3$"):
+            circuit._cut(c, c.output_ids, c.input_ids[:3])
 
 
 def buf_chain(b, src, total):

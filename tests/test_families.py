@@ -16,6 +16,9 @@ from tests.test_golden import WIDTHS
 
 ALL_FAMILIES = sorted(FAMILIES)
 POW2_ONLY = ["sklansky", "kogge-stone", "brent-kung", "linear", "nandnor"]
+# the widths up to 130, and 3000, that those five build at the next power
+# of two and cut
+PADDED = [n for n in range(1, 131) if n & (n - 1) or n == 1] + [3000]
 
 
 class TestRegistry:
@@ -114,14 +117,18 @@ class TestInterface:
 
 class TestPadding:
     @pytest.mark.parametrize("family", POW2_ONLY)
-    @pytest.mark.parametrize("n", [3, 5, 6, 7, 11, 100])
+    @pytest.mark.parametrize("n", PADDED)
     def test_padded_first_carries_match_oracle(self, family, n):
+        # the cut to the first n carries reads only the first 2n inputs
         c = build_adder(AdderSpec(family, n))
         assert validate(c) == []
         assert len(c.input_ids) == 2 * n
         assert len(c.output_ids) == n
         report = verify_adder(c, n, mode="random", samples=10_000, seed=11)
         assert report.ok, (family, n, report.summary())
+        full = build_full_adder(AdderSpec(family, n))
+        assert validate(full) == []
+        assert (len(full.input_ids), len(full.output_ids)) == (2 * n, n + 1)
 
     @pytest.mark.parametrize("n", [3, 5, 6, 7, 11, 100])
     def test_truncated_mig_matches_oracle(self, n):

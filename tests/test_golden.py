@@ -650,7 +650,7 @@ def test_netlist_bytes_unchanged(key):
 # The benchmark's large cells that the table above leaves out: their cores
 # use other block parameters than any golden width (the linear and nandnor
 # cores at 16384 are mig 64 with r = k = 3; golden's largest is mig 16 with
-# r = k = 2), and linear 3000 is padded to 4096 and folded.
+# r = k = 2), and linear 3000 is built at 4096 and cut.
 LARGE = {
     "linear/16384/carry":
         "899e2df2b33b20641a6162794cc68ff80462f673f8a04266357c88142299717e",

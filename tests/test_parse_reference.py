@@ -108,13 +108,18 @@ RIPPLE = SOURCES[0].split("\n")  # header, inputs 0..5, "6 and 0 1", ...
      f"line 3: node id {BIG} out of sequence"),
     (RIPPLE[:7] + [f"{BIG} and 0 1"] + RIPPLE[8:],
      f"line 8: node id {BIG} out of sequence"),
-    (RIPPLE[:7] + ["6 and 0 " + BIG] + RIPPLE[8:], "line 8: bad fanin id"),
+    (RIPPLE[:7] + ["6 and 0 " + BIG] + RIPPLE[8:],
+     f"line 8: fanin {BIG} not an earlier node"),
+    (RIPPLE[:7] + [f"6 and -{BIG} 1"] + RIPPLE[8:],
+     f"line 8: fanin -{BIG} not an earlier node"),
+    (RIPPLE[:7] + [f"6 and 0 0{BIG}"] + RIPPLE[8:], "line 8: bad fanin id"),
     (RIPPLE[:-2] + [f"output {BIG}", ""], f"bad output id '{BIG}'"),
     ([RIPPLE[0].replace('"version":1', f'"version":{BIG}')] + RIPPLE[1:],
      "bad netlist header: Exceeds the limit (4300 digits) for integer "
      "string conversion: value has 5000 digits; use "
      "sys.set_int_max_str_digits() to increase the limit"),
-], ids=["input-id", "gate-id", "fanin", "output-id", "header-int"])
+], ids=["input-id", "gate-id", "fanin", "negative-fanin", "zero-led-fanin",
+        "output-id", "header-int"])
 def test_digit_limit_reads_as_the_parsers_own_message(chunk, lines, message,
                                                      monkeypatch):
     # int() refuses more than 4300 digits with a message of its own; the

@@ -9,7 +9,7 @@ import pytest
 
 from addergen import semantics
 from addergen.circuit import (
-    AND, BUF, NAND, NOR, NOT, OR, XOR, Circuit, CircuitBuilder, constant_fold,
+    AND, BUF, NAND, NOR, NOT, OR, XOR, Circuit, CircuitBuilder,
 )
 from addergen.families import AdderSpec, build_adder, build_full_adder
 from addergen.semantics import (
@@ -161,8 +161,6 @@ class TestPackedSimulation:
         (simulate, {0: 1, 1: 2, 2: 1, 3: 3}, 1, "2"),
         (simulate, {0: 1, 1: 0, 2: -1, 3: 1}, 2, "-1"),
         (simulate, {0: True, 1: 0, 2: 1, 3: 1}, 0, "True"),
-        (constant_fold, {1: 0.5}, 1, "0.5"),
-        (constant_fold, {0: 1, 3: False}, 3, "False"),
     ])
     def test_bit_values_checked(self, run, assignment, key, value):
         # a value is the int 0 or 1; nothing else is read as its low bit
