@@ -140,6 +140,25 @@ class CircuitBuilder:
             nid += 1
         return remap
 
+    @staticmethod
+    def record(emit, n) -> tuple:
+        """emit(builder, ports) run on n placeholder ports: a block to stamp."""
+        rec = CircuitBuilder()
+        out = emit(rec, [rec.add_input() for _ in range(n)])
+        return n, *(a[n:] for a in (rec._codes, rec._f0, rec._f1)), out
+
+    def stamp(self, block, ports) -> list:
+        """Append a recorded block over ports, the one part not yet checked."""
+        n, codes, f0, f1, out = block
+        nid = len(self._codes)
+        if len(ports) != n or ports and not 0 <= min(ports) <= max(ports) < nid:
+            raise ValueError(f"need {n} ports below {nid}, got {ports}")
+        where = [*ports, *range(nid, nid + len(codes)), -1]
+        self._codes.extend(codes)
+        self._f0.extend(map(where.__getitem__, f0))
+        self._f1.extend(map(where.__getitem__, f1))
+        return list(map(where.__getitem__, out))
+
     def build(self) -> "Circuit":
         """The circuit so far, on copies that later appends leave alone."""
         return Circuit(self.name, self._codes[:], self._f0[:], self._f1[:],

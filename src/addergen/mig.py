@@ -28,7 +28,11 @@ that are not of the form 2**(r*k) are served.  The raw structure, whose
 size the closed formulas state, contains dead scaffolding (unread copies
 and leaves, unread AND chains); it lives in tests/reference.py.  The
 build here sizes every pool to the takes it will serve and so emits the
-pruned raw structure itself.
+pruned raw structure itself.  It records each shape of buffer tree and
+generate gate once, running _replicate or _generate_gate on placeholder
+ports, and stamps every block of that shape from the recording; so their
+gates depend on their shape arguments and which ports are None, never on
+the port ids.
 """
 
 from __future__ import annotations
@@ -151,18 +155,19 @@ def _generate_gate(b: CircuitBuilder, gen_ports, prop_ports, copies: int,
     return _dup_or(b, minterms, copies, live)
 
 
-def _windows(b: CircuitBuilder, xs, r: int, k: int, leaves):
+def _windows(b: CircuitBuilder, xs, r: int, k: int, leaves,
+             replicate=_replicate):
     """Backward AND-windows of the propagate inputs, pooled for tapping.
 
-    The tap (c, lam) is a pool of 2**r single-use buffer leaves over the
-    AND of columns (c - 2**(r*lam), c], of which only the first
-    leaves(c, lam) are emitted, and of the lattice only the nodes those
-    read.  Level-0 taps root directly on the inputs; level lam >= 1 taps
-    root on the last doubling row of block lam.  Each block is a buffered
-    repeat row followed by r doubling rows (columns whose window already
-    reaches column 1 are buffered through), which places every level-lam
-    leaf at depth exactly (lam + 1) * (r + 1).  Returns the taps and the
-    last row (None where dead).
+    The tap (c, lam) is a pool of 2**r single-use buffer leaves, made by
+    replicate (as _replicate), over the AND of columns (c - 2**(r*lam), c],
+    of which only the first leaves(c, lam) are emitted, and of the lattice
+    only the nodes those read.  Level-0 taps root directly on the inputs;
+    level lam >= 1 taps root on the last doubling row of block lam.  Each
+    block is a buffered repeat row followed by r doubling rows (columns
+    whose window already reaches column 1 are buffered through), which
+    places every level-lam leaf at depth exactly (lam + 1) * (r + 1).
+    Returns the taps and the last row (None where dead).
     """
     w = len(xs)
     # one backward pass from the live tap roots: a doubling-row node reads
@@ -180,7 +185,7 @@ def _windows(b: CircuitBuilder, xs, r: int, k: int, leaves):
     rows.reverse()
 
     def tap(c, lam, root):
-        return Pool(_replicate(b, root, 1 << r, True, leaves(c, lam)),
+        return Pool(replicate(b, root, 1 << r, True, leaves(c, lam)),
                     takes_per_item=1)
 
     taps = {(c, 0): tap(c, 0, xs[c - 1]) for c in range(1, w + 1)}
@@ -229,6 +234,7 @@ def build_mig_adder(n: int, r: int | None = None, k: int | None = None):
     xs, ys = ids[0::2], ids[1::2]
     full = 1 << r
     half = full >> 1
+    blocks = {}  # (helper, shape) -> its block, recorded once per build
 
     # Column c's carry pool on a row of block width delta serves the gates
     # at columns c + m*delta > delta (m < 2**r), plus its own box or output
@@ -242,8 +248,22 @@ def build_mig_adder(n: int, r: int | None = None, k: int | None = None):
         delta = 1 << (r * lam)
         return min(full - 1, (n - c) // delta + 1) if c > delta else 0
 
-    taps, _ = _windows(b, xs, r, k, leaves)
-    pools = {t: Pool(_replicate(b, ys[t - 1], half, False, copies(t, 1)))
+    def stamped(key, ports, emit):  # emit(builder, ports) has key's shape
+        if key not in blocks:
+            blocks[key] = CircuitBuilder.record(emit, len(ports))
+        return b.stamp(blocks[key], ports)
+
+    def replicate(_b, src, size, rooted, live):  # src may be a dead node
+        return stamped((_replicate, size, rooted, live), [src], lambda rec, p:
+                       _replicate(rec, *p, size, rooted, live)) if live else []
+
+    def generate_gate(gens, props, n_out, live):  # props skip the dead one
+        return stamped((_generate_gate, q := len(gens), n_out, live),
+                       gens + props, lambda rec, p: _generate_gate(
+                           rec, p[:q], [None, *p[q:]], n_out, live))
+
+    taps, _ = _windows(b, xs, r, k, leaves, replicate)
+    pools = {t: Pool(replicate(b, ys[t - 1], half, False, copies(t, 1)))
              for t in range(1, n + 1)}
     carries = [None] * n
     for l in range(1, k + 1):
@@ -256,16 +276,16 @@ def build_mig_adder(n: int, r: int | None = None, k: int | None = None):
                 if final:
                     carries[t - 1] = src
                 else:
-                    nxt[t] = Pool(_replicate(b, src, half, True,
-                                             copies(t, delta << r)))
+                    nxt[t] = Pool(replicate(b, src, half, True,
+                                            copies(t, delta << r)))
             else:
                 q = min(full, -(-t // delta))
                 cols = [t - (q - i) * delta for i in range(1, q + 1)]
                 gens = [pools[c].take() for c in cols]
-                props = [None] + [taps[(c, l - 1)].take() for c in cols[1:]]
+                props = [taps[(c, l - 1)].take() for c in cols[1:]]
                 n_out = 1 if final else half
-                outs = _generate_gate(b, gens, props, n_out,
-                                      min(n_out, copies(t, delta << r)))
+                outs = generate_gate(gens, props, n_out,
+                                     min(n_out, copies(t, delta << r)))
                 if final:
                     carries[t - 1] = outs[0]
                 else:

@@ -34,8 +34,9 @@ def simulate_packed(c: Circuit, input_words, width):
     input_words aligns with c.input_ids.  Intermediate words are freed as
     their last consumer is evaluated, keeping memory proportional to the
     live frontier rather than circuit size.  Returns words aligned with
-    c.output_ids.
+    c.output_ids.  A code that names no kind raises ValueError.
     """
+    _check_kinds(c)
     if len(input_words) != len(c.input_ids):
         raise ValueError("input word count mismatch")
     mask = (1 << width) - 1
@@ -92,7 +93,6 @@ def simulate(c: Circuit, assignment: dict) -> dict:
     for key, value in assignment.items():
         if type(value) is not int or value not in (0, 1):
             raise ValueError(f"input {key!r} must be 0 or 1, got {value!r}")
-    _check_kinds(c)
     words = [assignment[nid] for nid in c.input_ids]
     outs = simulate_packed(c, words, 1)
     return dict(zip(c.output_ids, outs))

@@ -9,7 +9,9 @@ The raw mig structure is the paper's construction at full size, and the
 closed size formulas state its size: every carry pool holds 2**(r-1)
 copies, every tap 2**r leaves, and every generate gate reads its lowest
 column's tap.  The library builds only its pruned form, and the tests
-check that `prune_dead` of the raw structure is exactly that build.
+check that `prune_dead` of the raw structure is exactly that build.  The
+pruned form's former body, which emitted every gate through add_gate,
+is kept too: the stamped build must equal it array for array.
 
 A prefix graph's own depth, size and fan-out are read off a circuit with
 one node per graph node, through the walks `metrics` uses.
@@ -177,6 +179,60 @@ def raw_mig_adder(n: int, r=None, k=None):
                 gens = [pools[c].take() for c in cols]
                 props = [taps[(c, l - 1)].take() for c in cols]
                 outs = generate_gate(b, r, gens, props, final)
+                if final:
+                    carries[t - 1] = outs[0]
+                else:
+                    nxt[t] = Pool(outs)
+        pools = nxt
+    carries[0] = lsb_carry(b, xs[0], carries[0])
+    for cid in carries:
+        b.mark_output(cid)
+    return b.build()
+
+
+def direct_mig_adder(n: int, r=None, k=None):
+    """build_mig_adder as it emitted every gate through add_gate, before it
+    stamped repeated blocks from one recording per shape; both must give
+    equal arrays and output ids."""
+    if r is None and k is None:
+        r, k, _ = choose_params(n)
+    b = CircuitBuilder(f"mig{n}-r{r}k{k}")
+    ids = [b.add_input() for _ in range(2 * n)]
+    xs, ys = ids[0::2], ids[1::2]
+    full = 1 << r
+    half = full >> 1
+
+    def copies(c, delta):
+        return (2 + min(full - 1, (n - c) // delta)) // 2
+
+    def leaves(c, lam):
+        delta = 1 << (r * lam)
+        return min(full - 1, (n - c) // delta + 1) if c > delta else 0
+
+    taps, _ = _windows(b, xs, r, k, leaves)
+    pools = {t: Pool(_replicate(b, ys[t - 1], half, False, copies(t, 1)))
+             for t in range(1, n + 1)}
+    carries = [None] * n
+    for l in range(1, k + 1):
+        delta = 1 << (r * (l - 1))
+        final = l == k
+        nxt = {}
+        for t in range(1, n + 1):
+            if t <= delta:
+                src = pools[t].take()
+                if final:
+                    carries[t - 1] = src
+                else:
+                    nxt[t] = Pool(_replicate(b, src, half, True,
+                                             copies(t, delta << r)))
+            else:
+                q = min(full, -(-t // delta))
+                cols = [t - (q - i) * delta for i in range(1, q + 1)]
+                gens = [pools[c].take() for c in cols]
+                props = [None] + [taps[(c, l - 1)].take() for c in cols[1:]]
+                n_out = 1 if final else half
+                outs = _generate_gate(b, gens, props, n_out,
+                                      min(n_out, copies(t, delta << r)))
                 if final:
                     carries[t - 1] = outs[0]
                 else:

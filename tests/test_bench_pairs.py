@@ -132,3 +132,24 @@ def test_inprocess_ab_times_both_sides_alternately(tmp_path):
             assert s["pairs"] == 3 and s["ratio"] > 0
         total = result["summary"][function]["total"]
         assert total["parent"] == seconds["parent"]
+
+
+def test_inprocess_ab_times_the_build_and_dumps():
+    assert inprocess_ab.FUNCTIONS == ("build", "dumps_netlist",
+                                      "loads_netlist", "verify")
+
+
+def test_inprocess_ab_rejects_sides_that_build_differently(tmp_path,
+                                                           monkeypatch):
+    steps = inprocess_ab.steps
+
+    def skewed(pkg, family, n, full):  # the change side builds n + 1 bits
+        return steps(pkg, family, n + (pkg.__name__ == "addergen_change"),
+                     full)
+
+    monkeypatch.setattr(inprocess_ab, "steps", skewed)
+    with pytest.raises(SystemExit, match="^error: ripple:8: the sides' "
+                       "build differ$"):
+        inprocess_ab.main(["--parent", ".", "--change", ".", "--rounds", "1",
+                           "--cell", "ripple:8", "--out",
+                           str(tmp_path / "ab.json")])

@@ -279,8 +279,11 @@ class TestViolationRules:
     @pytest.mark.parametrize("code", [-128, -1, 8, 127])
     @pytest.mark.parametrize("run", [
         netlist.dumps_netlist, netlist.circuit_to_dot,
-        partial(simulate, assignment={0: 1, 1: 0})],
-        ids=["dumps_netlist", "circuit_to_dot", "simulate"])
+        partial(simulate, assignment={0: 1, 1: 0}),
+        partial(semantics.simulate_packed, input_words=[0b0011, 0b0101],
+                width=4)],
+        ids=["dumps_netlist", "circuit_to_dot", "simulate",
+             "simulate_packed"])
     def test_kind_unknown_code_outside_validate(self, run, code):
         # these do not validate, so they scan the codes themselves: no
         # code outside 0..7 may index the kind tables or the gate chain

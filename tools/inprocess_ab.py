@@ -1,22 +1,25 @@
-"""Time two revisions' loads_netlist and verifiers in one process, alternately.
+"""Time two revisions' build, dumps, loads and verifiers in one process,
+alternately.
 
 Usage, from the repository root:
 
     python3 tools/inprocess_ab.py --parent HEAD --change . --rounds 12 \
-        --out BENCH_27_inprocess.json
+        --cell mig:4096 --cell mig:2048 --out BENCH_31_inprocess.json
 
 Each side is unpacked as `tools/bench_pairs.py` unpacks it (`checkout`),
 and its `src/addergen` is imported under its own package name, so both
 sides live in one process and see the same heap and the same caches.
-The netlist texts of the cells (by default perfbench's verify-large
-cells) are built once, by the parent.  Every round times, per cell,
-`loads_netlist` on each side, then the verifier `perfbench` calls on
-each side's loaded circuit (`verify_full_adder` for a full adder,
-`verify_adder` otherwise; auto mode, default samples, a fixed seed).
-The side that goes first alternates from round to round.  The JSON
-written to --out holds every call's seconds and, per cell, per function
-and for the sum over the cells, `bench_pairs.summarise` of the two sides
-(medians, quartiles, change wins, ratio).  Standard library only.
+Every round times, per cell (by default perfbench's verify-large cells),
+each side's build (`build_full_adder` for a full adder, `build_adder`
+otherwise), its `dumps_netlist` of what it built, its `loads_netlist` of
+that text, then the verifier `perfbench` calls on its loaded circuit
+(`verify_full_adder` or `verify_adder`; auto mode, default samples, a
+fixed seed).  The side that goes first alternates from round to round,
+and the sides' built arrays and output ids, texts, and loaded circuits
+and reports must be equal.  The JSON written to --out holds every call's
+seconds and, per cell, per function and for the sum over the cells,
+`bench_pairs.summarise` of the two sides (medians, quartiles, change
+wins, ratio).  Standard library only.
 """
 
 from __future__ import annotations
@@ -39,12 +42,15 @@ VERIFY_LARGE = [("mig", 1024, False), ("kogge-stone", 4096, False),
                 ("ripple", 4096, False), ("nandnor", 4096, False),
                 ("linear", 16384, False), ("linear", 4096, True),
                 ("brent-kung", 1024, True)]
-FUNCTIONS = ("loads_netlist", "verify")
+FUNCTIONS = ("build", "dumps_netlist", "loads_netlist", "verify")
 SEED = 2727
 
 
 def import_tree(tree, name):
-    """tree/src/addergen imported as the package `name`."""
+    """tree/src/addergen imported as the package `name`, afresh: modules
+    left by an earlier import under that name would be reused unbound."""
+    for stale in [m for m in sys.modules if m.partition(".")[0] == name]:
+        del sys.modules[stale]
     init = Path(tree) / "src" / "addergen" / "__init__.py"
     spec = importlib.util.spec_from_file_location(
         name, init, submodule_search_locations=[str(init.parent)])
@@ -66,10 +72,27 @@ def timed(fn, *args, **kwargs):
     return perf_counter() - t0, result
 
 
-def result(nf, report):
-    """A loaded circuit and its report as text, comparable across sides."""
-    c = nf.circuit
-    return repr((c._codes, c._f0, c._f1, c.output_ids, report, report.proof))
+def arrays(c):
+    """A circuit's arrays and output ids, comparable across sides."""
+    return repr((c._codes, c._f0, c._f1, c.output_ids))
+
+
+def steps(pkg, family, n, full):
+    """One side's timed calls on one cell, {function: (call, key)} in
+    FUNCTIONS order: call takes the previous call's result, and key makes
+    its own result comparable across sides."""
+    spec = pkg.AdderSpec(family, n)
+    build = pkg.build_full_adder if full else pkg.build_adder
+    check = pkg.verify_full_adder if full else pkg.verify_adder
+    return {
+        "build": (lambda _: build(spec), arrays),
+        "dumps_netlist": (
+            lambda c: pkg.netlist.dumps_netlist(c, spec, full), str),
+        "loads_netlist": (pkg.netlist.loads_netlist,
+                          lambda nf: arrays(nf.circuit)),
+        "verify": (lambda nf: check(nf.circuit, n, seed=SEED),
+                   lambda report: repr((report, report.proof))),
+    }
 
 
 def compare(trees, cells, rounds):
@@ -78,30 +101,24 @@ def compare(trees, cells, rounds):
     to its tree.  Each call's result must equal the other side's."""
     pkgs = {side: import_tree(tree, f"addergen_{side}")
             for side, tree in trees.items()}
-    builder = pkgs["parent"]
-    texts = {}
-    for family, n, full in cells:
-        spec = builder.AdderSpec(family, n)
-        c = (builder.build_full_adder if full else builder.build_adder)(spec)
-        name = f"{family}:{n}" + (":full" if full else "")
-        texts[name] = (n, full, builder.netlist.dumps_netlist(c, spec, full))
+    names = {f"{family}:{n}" + (":full" if full else ""): (family, n, full)
+             for family, n, full in cells}
     times = {name: {f: {side: [] for side in bench_pairs.SIDES}
-                    for f in FUNCTIONS} for name in texts}
+                    for f in FUNCTIONS} for name in names}
     for r in range(rounds):
         order = bench_pairs.SIDES if r % 2 == 0 else bench_pairs.SIDES[::-1]
-        for name, (n, full, text) in texts.items():
-            loaded, reports = {}, {}
-            for side in order:
-                t, loaded[side] = timed(pkgs[side].netlist.loads_netlist, text)
-                times[name]["loads_netlist"][side].append(t)
-            for side in order:
-                pkg = pkgs[side]
-                check = pkg.verify_full_adder if full else pkg.verify_adder
-                t, reports[side] = timed(check, loaded[side].circuit, n,
-                                         seed=SEED)
-                times[name]["verify"][side].append(t)
-            if len({result(loaded[s], reports[s]) for s in order}) > 1:
-                raise SystemExit(f"error: {name}: the sides' results differ")
+        for name, cell in names.items():
+            calls = {side: steps(pkgs[side], *cell) for side in order}
+            last = dict.fromkeys(order)  # each side's latest result
+            for f in FUNCTIONS:
+                seen = set()
+                for side in order:
+                    call, key = calls[side][f]
+                    t, last[side] = timed(call, last[side])
+                    times[name][f][side].append(t)
+                    seen.add(key(last[side]))
+                if len(seen) > 1:
+                    raise SystemExit(f"error: {name}: the sides' {f} differ")
     return times
 
 
