@@ -101,9 +101,13 @@ class CircuitBuilder:
             raise ValueError(f"{KIND_NAMES[kind]} takes one fanin")
         if arity == 2 and (b is None or not 0 <= b < nid):
             raise ValueError(f"fanin {b} out of range for node {nid}")
+        try:  # the arrays take ints only; a float fanin passes the checks
+            self._f0.append(a)
+            self._f1.append(-1 if b is None else b)
+        except TypeError:
+            del self._f0[nid:]
+            raise ValueError(f"fanins must be ints, got {a!r}, {b!r}") from None
         self._codes.append(kind)
-        self._f0.append(a)
-        self._f1.append(-1 if b is None else b)
         return nid
 
     def mark_output(self, nid: int):
@@ -112,52 +116,36 @@ class CircuitBuilder:
         self._outputs.append(nid)
 
     def inline(self, c: "Circuit", leaves) -> list:
-        """Append c's gates in id order with c.input_ids bound to leaves.
+        """Append c's gates in id order with c's inputs bound to leaves, and
+        return the ids c's output markers name here, in marking order.
 
-        Returns remap, where remap[old id] is the id the node got here.
+        c's inputs must be its first nodes, as every builder adds them.
         Only leaves are checked: c's fanins were checked when c was built.
-        Output markers are not copied; callers mark what they need.
         """
         nid = len(self._codes)
-        if len(leaves) != len(c.input_ids):
-            raise ValueError(
-                f"need {len(c.input_ids)} leaves, got {len(leaves)}")
-        remap = [-1] * len(c)
-        for old, leaf in zip(c.input_ids, leaves):
-            if not 0 <= leaf < nid:
-                raise ValueError(f"leaf {leaf} out of range")
-            remap[old] = leaf
-        codes, f0, f1 = self._codes, self._f0, self._f1
-        src_f0, src_f1 = c._f0, c._f1
-        for old, code in enumerate(c._codes):
-            if code == INPUT:
-                continue
-            b = src_f1[old]
-            codes.append(code)
-            f0.append(remap[src_f0[old]])
-            f1.append(remap[b] if b >= 0 else -1)
-            remap[old] = nid
-            nid += 1
-        return remap
+        k = len(c.input_ids)
+        if k and c.input_ids[-1] != k - 1:
+            raise ValueError("inlined circuit must have its inputs first")
+        if len(leaves) != k or k and not (
+                0 <= min(leaves) <= max(leaves) < nid):
+            raise ValueError(f"need {k} leaves below {nid}, got {leaves}")
+        where = [*leaves, *range(nid, nid + len(c._codes) - k), -1]
+        try:  # a float leaf passes the checks; the arrays take ints only
+            self._codes.extend(c._codes[k:])
+            self._f0.extend(map(where.__getitem__, c._f0[k:]))
+            self._f1.extend(map(where.__getitem__, c._f1[k:]))
+        except TypeError:
+            del self._codes[nid:], self._f0[nid:], self._f1[nid:]
+            raise ValueError(f"leaves must be ints, got {leaves}") from None
+        return list(map(where.__getitem__, c.output_ids))
 
     @staticmethod
-    def record(emit, n) -> tuple:
-        """emit(builder, ports) run on n placeholder ports: a block to stamp."""
+    def record(emit, n) -> "Circuit":
+        """emit(builder, ports) run on n input ports, as a circuit to inline:
+        the ports, the emitted gates, and emit's result ids as outputs."""
         rec = CircuitBuilder()
         out = emit(rec, [rec.add_input() for _ in range(n)])
-        return n, *(a[n:] for a in (rec._codes, rec._f0, rec._f1)), out
-
-    def stamp(self, block, ports) -> list:
-        """Append a recorded block over ports, the one part not yet checked."""
-        n, codes, f0, f1, out = block
-        nid = len(self._codes)
-        if len(ports) != n or ports and not 0 <= min(ports) <= max(ports) < nid:
-            raise ValueError(f"need {n} ports below {nid}, got {ports}")
-        where = [*ports, *range(nid, nid + len(codes)), -1]
-        self._codes.extend(codes)
-        self._f0.extend(map(where.__getitem__, f0))
-        self._f1.extend(map(where.__getitem__, f1))
-        return list(map(where.__getitem__, out))
+        return Circuit(rec.name, rec._codes, rec._f0, rec._f1, tuple(out))
 
     def build(self) -> "Circuit":
         """The circuit so far, on copies that later appends leave alone."""

@@ -155,8 +155,7 @@ def build_full_adder(spec: AdderSpec) -> Circuit:
         x = b.add_gate(XOR, ai, bi)
         xs.append(x)
         leaves += [x, b.add_gate(AND, ai, bi)]
-    remap = b.inline(core, leaves)
-    carries = [remap[o] for o in core.output_ids]
+    carries = b.inline(core, leaves)
     b.mark_output(xs[0])  # lowest sum equals the lowest propagate
     for i in range(1, n):
         b.mark_output(b.add_gate(XOR, xs[i], carries[i - 1]))

@@ -29,10 +29,10 @@ size the closed formulas state, contains dead scaffolding (unread copies
 and leaves, unread AND chains); it lives in tests/reference.py.  The
 build here sizes every pool to the takes it will serve and so emits the
 pruned raw structure itself.  It records each shape of buffer tree and
-generate gate once, running _replicate or _generate_gate on placeholder
-ports, and stamps every block of that shape from the recording; so their
-gates depend on their shape arguments and which ports are None, never on
-the port ids.
+generate gate once as a circuit, running _replicate or _generate_gate on
+its input ports, and inlines that circuit for every block of the shape;
+so their gates depend on their shape arguments and which ports are None,
+never on the port ids.
 """
 
 from __future__ import annotations
@@ -155,8 +155,7 @@ def _generate_gate(b: CircuitBuilder, gen_ports, prop_ports, copies: int,
     return _dup_or(b, minterms, copies, live)
 
 
-def _windows(b: CircuitBuilder, xs, r: int, k: int, leaves,
-             replicate=_replicate):
+def _windows(b: CircuitBuilder, xs, r: int, k: int, leaves, replicate):
     """Backward AND-windows of the propagate inputs, pooled for tapping.
 
     The tap (c, lam) is a pool of 2**r single-use buffer leaves, made by
@@ -234,7 +233,7 @@ def build_mig_adder(n: int, r: int | None = None, k: int | None = None):
     xs, ys = ids[0::2], ids[1::2]
     full = 1 << r
     half = full >> 1
-    blocks = {}  # (helper, shape) -> its block, recorded once per build
+    blocks = {}  # (helper, shape) -> its circuit, recorded once per build
 
     # Column c's carry pool on a row of block width delta serves the gates
     # at columns c + m*delta > delta (m < 2**r), plus its own box or output
@@ -251,7 +250,7 @@ def build_mig_adder(n: int, r: int | None = None, k: int | None = None):
     def stamped(key, ports, emit):  # emit(builder, ports) has key's shape
         if key not in blocks:
             blocks[key] = CircuitBuilder.record(emit, len(ports))
-        return b.stamp(blocks[key], ports)
+        return b.inline(blocks[key], ports)
 
     def replicate(_b, src, size, rooted, live):  # src may be a dead node
         return stamped((_replicate, size, rooted, live), [src], lambda rec, p:

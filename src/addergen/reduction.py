@@ -120,7 +120,7 @@ def apply_reduction(n: int, tau: int, core: Circuit, style=None, name=""):
                        for i in range(len(prev) // 2)])
 
     # levels are popped coarsest first, so each is freed once its scale is done
-    remap = b.inline(mapped, [v for xy in levels.pop() for v in xy])
+    carries = b.inline(mapped, [v for xy in levels.pop() for v in xy])
 
     # consumers are counted once, here: inner carries have what the core gave
     # them, each scale's lowest y its coarser combine from halving; later
@@ -133,12 +133,12 @@ def apply_reduction(n: int, tau: int, core: Circuit, style=None, name=""):
         chains[m] = _chain(b, token, used, _carry_demand(m, n, tau),
                            style.repeater)
 
-    for i, (o, p) in enumerate(zip(mapped.output_ids, parities), start=1):
-        if counts[remap[o]] >= 2:
-            raise ValueError(f"core carry {i} already has {counts[remap[o]]} "
+    for i, (o, p) in enumerate(zip(carries, parities), start=1):
+        if counts[o] >= 2:
+            raise ValueError(f"core carry {i} already has {counts[o]} "
                              "consumers inside the core; the wrapper needs "
                              "one free fan-out slot on each core carry")
-        chain(i << tau, (remap[o], p))
+        chain(i << tau, (o, p))
     for s in range(tau - 1, -1, -1):
         level = levels.pop()
         lowest = (level[0][1], False)

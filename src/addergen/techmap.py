@@ -147,9 +147,9 @@ def demorgan_map(lc: LevelizedCircuit) -> Circuit:
     """
     mapped, parities = _demorgan(lc)
     b = CircuitBuilder(mapped.name)
-    remap = b.inline(mapped, [b.add_input() for _ in mapped.input_ids])
-    for oid, inverted in zip(mapped.output_ids, parities):
-        b.mark_output(b.add_gate(NOT, remap[oid]) if inverted else remap[oid])
+    outs = b.inline(mapped, [b.add_input() for _ in mapped.input_ids])
+    for oid, inverted in zip(outs, parities):
+        b.mark_output(b.add_gate(NOT, oid) if inverted else oid)
     return b.build()
 
 

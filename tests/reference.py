@@ -11,7 +11,8 @@ copies, every tap 2**r leaves, and every generate gate reads its lowest
 column's tap.  The library builds only its pruned form, and the tests
 check that `prune_dead` of the raw structure is exactly that build.  The
 pruned form's former body, which emitted every gate through add_gate,
-is kept too: the stamped build must equal it array for array.
+is kept too: the build that inlines recorded blocks must equal it array
+for array.
 
 A prefix graph's own depth, size and fan-out are read off a circuit with
 one node per graph node, through the walks `metrics` uses.
@@ -141,7 +142,7 @@ def augmented_and_prefix(b: CircuitBuilder, xs, r: int, k: int,
     {(c, lam): Pool}.  The final block would only feed taps no gate
     reads; omit_last_block=False keeps its dead repeat row, completing the
     unpruned size formula w*r*(k-1) + w*k*2**(r+1)."""
-    taps, cur = _windows(b, xs, r, k, lambda c, lam: 1 << r)
+    taps, cur = _windows(b, xs, r, k, lambda c, lam: 1 << r, _replicate)
     if not omit_last_block:
         for v in cur:
             b.add_gate(BUF, v)
@@ -192,7 +193,7 @@ def raw_mig_adder(n: int, r=None, k=None):
 
 def direct_mig_adder(n: int, r=None, k=None):
     """build_mig_adder as it emitted every gate through add_gate, before it
-    stamped repeated blocks from one recording per shape; both must give
+    inlined repeated blocks from one recording per shape; both must give
     equal arrays and output ids."""
     if r is None and k is None:
         r, k, _ = choose_params(n)
@@ -209,7 +210,7 @@ def direct_mig_adder(n: int, r=None, k=None):
         delta = 1 << (r * lam)
         return min(full - 1, (n - c) // delta + 1) if c > delta else 0
 
-    taps, _ = _windows(b, xs, r, k, leaves)
+    taps, _ = _windows(b, xs, r, k, leaves, _replicate)
     pools = {t: Pool(_replicate(b, ys[t - 1], half, False, copies(t, 1)))
              for t in range(1, n + 1)}
     carries = [None] * n

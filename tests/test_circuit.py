@@ -13,7 +13,9 @@ from addergen.circuit import (
 )
 from addergen import circuit, netlist, semantics
 from addergen.cli import compare_rows
-from addergen.families import AdderSpec, build_adder
+from addergen.families import (
+    FAMILIES, AdderSpec, build_adder, build_full_adder,
+)
 from addergen.semantics import simulate, verify_adder
 
 
@@ -106,23 +108,42 @@ class TestBuilder:
                            match=rf"^node id {nid!r} outside 0\.\.8$"):
             getattr(c, method)(nid)
 
-    def test_inline_binds_inputs_to_leaves(self):
-        core = tiny_carry2()
+    @pytest.mark.parametrize("bad", [0.5, 0.0])
+    @pytest.mark.parametrize("kind, fanins", [
+        (BUF, ("bad",)), (AND, ("bad", 0)), (AND, (0, "bad"))],
+        ids=["buf-a", "fanin-a", "fanin-b"])
+    def test_non_int_fanin_appends_nothing(self, kind, fanins, bad):
+        # a float passes the range checks; the arrays must stay in step
         b = CircuitBuilder()
-        ins = [b.add_input() for _ in range(4)]
-        leaves = [b.add_gate(NOT, i) for i in ins]
-        remap = b.inline(core, leaves)
-        assert [remap[i] for i in core.input_ids] == leaves
-        # each leaf gets the consumers its input had in core (no outputs)
-        c = b.build()
-        assert [c.consumer_counts()[x] for x in leaves] == [
-            core.consumer_counts()[i] for i in core.input_ids]
-        assert len(c) == 8 + core.num_gates
-        for nid in range(len(core)):
-            if not core.is_input(nid):
-                assert c.kind(remap[nid]) == core.kind(nid)
-                assert c.fanins(remap[nid]) == tuple(
-                    remap[f] for f in core.fanins(nid))
+        b.add_input()
+        with pytest.raises(ValueError, match="^fanins must be ints"):
+            b.add_gate(kind, *(bad if f == "bad" else f for f in fanins))
+        assert len(b._codes) == len(b._f0) == len(b._f1) == 1
+
+    @pytest.mark.parametrize("n", range(1, 18))
+    @pytest.mark.parametrize("full", [False, True], ids=["carry", "full"])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_inline_round_trips(self, family, full, n):
+        # fresh inputs, the circuit inlined over them and its returned
+        # output ids marked rebuild it; a full adder adds each position's
+        # inputs before that position's gates, so past n = 1 it is refused
+        c = (build_full_adder if full else build_adder)(AdderSpec(family, n))
+        b = CircuitBuilder(c.name)
+        ins = [b.add_input() for _ in c.input_ids]
+        if c.input_ids != tuple(ins):
+            assert full and n > 1
+            with pytest.raises(ValueError, match="inputs first"):
+                b.inline(c, ins)
+            assert len(b._codes) == len(b._f0) == len(b._f1) == len(ins)
+            return
+        for oid in b.inline(c, ins):
+            b.mark_output(oid)
+        got = b.build()
+        assert got.name == c.name
+        assert got._codes == c._codes
+        assert got._f0 == c._f0
+        assert got._f1 == c._f1
+        assert got.output_ids == c.output_ids
 
     def test_inline_checks_leaves(self):
         core = tiny_carry2()
@@ -130,7 +151,7 @@ class TestBuilder:
         ins = [b.add_input() for _ in range(4)]
         with pytest.raises(ValueError, match="leaves"):
             b.inline(core, ins[:3])
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match="need 4 leaves below 4"):
             b.inline(core, ins[:3] + [4])
         assert len(b) == 4
 

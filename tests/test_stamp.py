@@ -1,6 +1,7 @@
-"""Recorded blocks and stamping: CircuitBuilder.record and stamp, and the
-mig build that stamps its buffer trees and generate gates, held to the
-body that emitted every gate through add_gate (tests/reference.py)."""
+"""Recorded blocks: CircuitBuilder.record, the circuits it returns and
+inline over them, and the mig build that inlines its buffer trees and
+generate gates, held to the body that emitted every gate through add_gate
+(tests/reference.py)."""
 
 import sys
 from array import array
@@ -9,7 +10,7 @@ from collections import Counter
 import pytest
 
 from addergen import families
-from addergen.circuit import AND, BUF, CircuitBuilder
+from addergen.circuit import AND, BUF, INPUT, NOT, Circuit, CircuitBuilder
 from addergen.families import AdderSpec, build_full_adder
 from addergen.mig import _generate_gate, _replicate, build_mig_adder
 from tests.reference import direct_mig_adder
@@ -25,8 +26,8 @@ def same_circuit(got, want):
 
 def emitted_block(emit, ports, spread):
     """emit(builder, ports) run on real ports, ids of a builder whose
-    spread inputs come first, as a block: ports and gates renumbered
-    block-locally as record numbers them."""
+    spread inputs come first, as the circuit record makes: ports as its
+    inputs, then the gates, renumbered block-locally."""
     b = CircuitBuilder()
     for _ in range(spread):
         b.add_input()
@@ -36,10 +37,11 @@ def emitted_block(emit, ports, spread):
     local.update((nid, len(ports) + nid - start)
                  for nid in range(start, len(b)))
     local[-1] = -1
-    return (len(ports), b._codes[start:],
-            array("i", (local[f] for f in b._f0[start:])),
-            array("i", (local[f] for f in b._f1[start:])),
-            [local[o] for o in out])
+    absent = [-1] * len(ports)
+    return Circuit("", array("b", [INPUT] * len(ports)) + b._codes[start:],
+                   array("i", absent + [local[f] for f in b._f0[start:]]),
+                   array("i", absent + [local[f] for f in b._f1[start:]]),
+                   tuple(local[o] for o in out))
 
 
 REPLICATE_SHAPES = [(size, rooted, live) for size in (1, 2, 4, 8)
@@ -55,7 +57,7 @@ class TestRecord:
             return _replicate(b, p[0], size, rooted, live)
         block = CircuitBuilder.record(emit, 1)
         for ports in ([0], [6]):
-            assert emitted_block(emit, ports, 7) == block
+            same_circuit(emitted_block(emit, ports, 7), block)
 
     @pytest.mark.parametrize("q, copies, live", GENERATE_SHAPES)
     def test_generate_block_ignores_port_ids(self, q, copies, live):
@@ -66,40 +68,77 @@ class TestRecord:
         ascending = list(range(2 * q - 1))
         scattered = [3 * i + 1 for i in reversed(ascending)]
         for ports in (ascending, scattered):
-            assert emitted_block(emit, ports, 6 * q) == block
+            same_circuit(emitted_block(emit, ports, 6 * q), block)
 
     def test_block_ids_are_ports_then_gates(self):
         block = CircuitBuilder.record(
             lambda b, p: [b.add_gate(BUF, b.add_gate(AND, p[1], p[0])), p[0]],
             2)
-        assert block == (2, array("b", [AND, BUF]), array("i", [1, 2]),
-                         array("i", [0, -1]), [3, 0])
+        assert block._codes == array("b", [INPUT, INPUT, AND, BUF])
+        assert block._f0 == array("i", [-1, -1, 1, 2])
+        assert block._f1 == array("i", [-1, -1, 0, -1])
+        assert block.input_ids == (0, 1)
+        assert block.output_ids == (3, 0)
 
 
-class TestStamp:
+class TestInline:
     @staticmethod
     def block():
         return CircuitBuilder.record(
             lambda b, p: [b.add_gate(AND, p[0], p[1])], 2)
 
+    @staticmethod
+    def builder():
+        b = CircuitBuilder()
+        for _ in range(3):
+            b.add_input()
+        return b
+
     def test_appends_over_ports(self):
         b = CircuitBuilder()
         ins = [b.add_input() for _ in range(3)]
-        assert b.stamp(self.block(), [ins[2], ins[0]]) == [3]
-        assert b.stamp(self.block(), [3, ins[1]]) == [4]
+        assert b.inline(self.block(), [ins[2], ins[0]]) == [3]
+        assert b.inline(self.block(), [3, ins[1]]) == [4]
         c = b.build()
         assert [c.fanins(nid) for nid in (3, 4)] == [(2, 0), (3, 1)]
+
+    def test_returns_outputs_in_marking_order(self):
+        # a result may be a port, and one id may be marked twice
+        block = CircuitBuilder.record(
+            lambda b, p: [p[1], b.add_gate(NOT, p[0]), p[1]], 2)
+        b = self.builder()
+        assert b.inline(block, [2, 0]) == [0, 3, 0]
 
     @pytest.mark.parametrize("ports", [[-1, 0], [0, 3], [0], [0, 1, 2]],
                              ids=["negative", "len", "too-few", "too-many"])
     def test_rejects_ports_before_appending(self, ports):
-        b = CircuitBuilder()
-        for _ in range(3):
-            b.add_input()
-        with pytest.raises(ValueError, match="need 2 ports below 3"):
-            b.stamp(self.block(), ports)
+        b = self.builder()
+        with pytest.raises(ValueError, match="need 2 leaves below 3"):
+            b.inline(self.block(), ports)
         assert len(b) == 3
         assert len(b._f0) == len(b._f1) == 3
+
+    def test_rejects_an_input_after_a_gate(self):
+        # a loaded netlist may interleave them; no builder here does
+        rec = CircuitBuilder()
+        g = rec.add_gate(NOT, rec.add_input())
+        rec.mark_output(rec.add_gate(AND, g, rec.add_input()))
+        b = self.builder()
+        with pytest.raises(ValueError, match="inputs first"):
+            b.inline(rec.build(), [0, 1])
+        assert len(b) == 3
+        assert len(b._f0) == len(b._f1) == 3
+
+    @pytest.mark.parametrize("bad", [0.5, 0.0])
+    @pytest.mark.parametrize("slot", [0, 1], ids=["fanin-a", "fanin-b"])
+    def test_non_int_port_appends_nothing(self, slot, bad):
+        # the block reads port 0 as fanin a and port 1 as fanin b only
+        ports = [2, 1]
+        ports[slot] = bad
+        b = self.builder()
+        with pytest.raises(ValueError, match="leaves must be ints"):
+            b.inline(self.block(), ports)
+        assert len(b._codes) == len(b._f0) == len(b._f1) == 3
 
 
 class TestStampedMigAdder:
